@@ -1,6 +1,7 @@
 #include "src/anomaly/root_cause.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 namespace mihn::anomaly {
@@ -8,15 +9,17 @@ namespace mihn::anomaly {
 RootCauseAnalyzer::RootCauseAnalyzer(fabric::Fabric& fabric, double utilization_threshold)
     : fabric_(fabric), threshold_(utilization_threshold) {}
 
-CongestionReport RootCauseAnalyzer::BuildReport(topology::DirectedLink dlink,
-                                                const fabric::LinkSnapshot& snap) const {
+CongestionReport RootCauseAnalyzer::BuildReport(const fabric::LinkView& link) const {
   CongestionReport report;
-  report.link = dlink;
-  report.utilization = snap.utilization;
-  if (snap.rate_bps > 0.0) {
-    for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
-      if (rate > 0.0) {
-        report.tenants.push_back(TenantShare{tenant, rate / snap.rate_bps});
+  report.link = link.dlink();
+  report.utilization = link.utilization();
+  const double link_rate = link.rate_bps();
+  if (link_rate > 0.0) {
+    // Tenants arrive in first-seen order; the sort below is a total order
+    // (tenant ids are distinct), so the report never depends on it.
+    for (const fabric::TenantCounter& tc : link.tenants()) {
+      if (tc.rate_present && tc.rate_bps > 0.0) {
+        report.tenants.push_back(TenantShare{tc.tenant, tc.rate_bps / link_rate});
       }
     }
     std::sort(report.tenants.begin(), report.tenants.end(),
@@ -27,33 +30,29 @@ CongestionReport RootCauseAnalyzer::BuildReport(topology::DirectedLink dlink,
                 return a.tenant < b.tenant;
               });
     double best = -1.0;
+    const std::array<double, fabric::kNumTrafficClasses>& by_class = link.rate_by_class_bps();
     for (int k = 0; k < fabric::kNumTrafficClasses; ++k) {
-      const double rate = snap.rate_by_class_bps[static_cast<size_t>(k)];
+      const double rate = by_class[static_cast<size_t>(k)];
       if (rate > best) {
         best = rate;
         report.dominant_class = static_cast<fabric::TrafficClass>(k);
       }
     }
     report.spill_fraction =
-        snap.rate_by_class_bps[static_cast<size_t>(fabric::TrafficClass::kSpill)] / snap.rate_bps;
+        by_class[static_cast<size_t>(fabric::TrafficClass::kSpill)] / link_rate;
     report.monitor_fraction =
-        snap.rate_by_class_bps[static_cast<size_t>(fabric::TrafficClass::kMonitor)] /
-        snap.rate_bps;
+        by_class[static_cast<size_t>(fabric::TrafficClass::kMonitor)] / link_rate;
   }
   return report;
 }
 
 std::vector<CongestionReport> RootCauseAnalyzer::FindCongestedLinks() {
   std::vector<CongestionReport> reports;
-  for (const topology::Link& link : fabric_.topo().links()) {
-    for (const bool forward : {true, false}) {
-      const topology::DirectedLink dlink{link.id, forward};
-      const fabric::LinkSnapshot snap = fabric_.Snapshot(dlink);
-      if (snap.utilization >= threshold_) {
-        reports.push_back(BuildReport(dlink, snap));
-      }
+  fabric_.VisitLinks([this, &reports](const fabric::LinkView& link) {
+    if (link.utilization() >= threshold_) {
+      reports.push_back(BuildReport(link));
     }
-  }
+  });
   std::sort(reports.begin(), reports.end(),
             [](const CongestionReport& a, const CongestionReport& b) {
               if (a.utilization != b.utilization) {
@@ -71,9 +70,9 @@ std::vector<CongestionReport> RootCauseAnalyzer::DiagnoseVictim(
     const topology::Path& victim_path) {
   std::vector<CongestionReport> reports;
   for (const topology::DirectedLink& hop : victim_path.hops) {
-    const fabric::LinkSnapshot snap = fabric_.Snapshot(hop);
-    if (snap.utilization >= threshold_) {
-      reports.push_back(BuildReport(hop, snap));
+    const fabric::LinkView link = fabric_.View(hop);
+    if (link.utilization() >= threshold_) {
+      reports.push_back(BuildReport(link));
     }
   }
   std::sort(reports.begin(), reports.end(),

@@ -55,8 +55,7 @@ class RootCauseAnalyzer {
   std::string Render(const CongestionReport& report) const;
 
  private:
-  CongestionReport BuildReport(topology::DirectedLink dlink,
-                               const fabric::LinkSnapshot& snap) const;
+  CongestionReport BuildReport(const fabric::LinkView& link) const;
 
   fabric::Fabric& fabric_;
   double threshold_;

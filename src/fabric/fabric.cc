@@ -16,6 +16,29 @@ constexpr double kDoneBytes = 0.5;
 // Spill flows below 1 byte/s of demand are treated as absent.
 constexpr double kSpillEpsBps = 1.0;
 
+LinkSnapshot Export(const LinkView& view) {
+  LinkSnapshot snap;
+  snap.link = view.dlink().link;
+  snap.forward = view.dlink().forward;
+  snap.capacity_bps = view.capacity_bps();
+  snap.rate_bps = view.rate_bps();
+  snap.utilization = view.utilization();
+  snap.bytes_total = view.bytes_total();
+  snap.packets = view.packets();
+  // The maps sort by TenantId; first-seen order never leaks into an export.
+  for (const TenantCounter& tc : view.tenants()) {
+    if (tc.rate_present) {
+      snap.rate_by_tenant_bps.emplace(tc.tenant, tc.rate_bps);
+    }
+    if (tc.bytes_present) {
+      snap.bytes_by_tenant.emplace(tc.tenant, tc.bytes);
+    }
+  }
+  snap.rate_by_class_bps = view.rate_by_class_bps();
+  snap.bytes_by_class = view.bytes_by_class();
+  return snap;
+}
+
 }  // namespace
 
 Fabric::Fabric(sim::Simulation& sim, const topology::Topology& topo, FabricConfig config)
@@ -61,14 +84,8 @@ FlowId Fabric::StartFlow(FlowSpec spec) {
   state.id = id;
   state.demand = std::min(spec.demand.bytes_per_sec(), kUnlimitedDemand);
   state.start_time = sim_.Now();
-  state.link_indices.reserve(spec.path.hops.size());
-  for (const topology::DirectedLink& hop : spec.path.hops) {
-    state.link_indices.push_back(DirectedIndex(hop));
-  }
-  std::sort(state.link_indices.begin(), state.link_indices.end());
-  state.link_indices.erase(std::unique(state.link_indices.begin(), state.link_indices.end()),
-                           state.link_indices.end());
   state.spec = std::move(spec);
+  BindLinks(state);
   if (state.spec.ddio_write) {
     ++ddio_flow_count_;
   }
@@ -193,11 +210,17 @@ std::vector<FlowId> Fabric::ActiveFlows() const {
   return ids;
 }
 
+size_t Fabric::active_flow_count() const {
+  FlushIfDirty();  // As ActiveFlows().
+  return flows_.size();
+}
+
 sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
   FlushIfDirty();
   sim::TimeNs latency = ProbePathLatency(spec.path);
   for (const topology::DirectedLink& hop : spec.path.hops) {
-    DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(hop))];
+    const int32_t li = DirectedIndex(hop);
+    DirectedLinkState& state = links_[static_cast<size_t>(li)];
     // Store-and-forward serialization on each hop.
     if (state.effective_capacity > 0) {
       latency += sim::TimeNs::FromSecondsF(static_cast<double>(spec.bytes) /
@@ -205,7 +228,9 @@ sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
     }
     state.bytes_total += static_cast<double>(spec.bytes);
     state.packets += 1;
-    state.bytes_by_tenant[spec.tenant] += static_cast<double>(spec.bytes);
+    TenantCounter& tc = state.tenants[static_cast<size_t>(TenantSlot(li, spec.tenant))];
+    tc.bytes += static_cast<double>(spec.bytes);
+    tc.bytes_present = true;
     state.bytes_by_class[static_cast<size_t>(spec.klass)] += static_cast<double>(spec.bytes);
   }
   latency += config_.interrupt_moderation;
@@ -276,35 +301,22 @@ void Fabric::SetConfig(FabricConfig config) {
   MarkDirty();
 }
 
-LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) {
+void Fabric::PrepareRead() {
   FlushIfDirty();
   AccrueCounters();
-  const DirectedLinkState& state = links_[static_cast<size_t>(DirectedIndex(dlink))];
-  LinkSnapshot snap;
-  snap.link = dlink.link;
-  snap.forward = dlink.forward;
-  snap.capacity_bps = state.effective_capacity;
-  snap.rate_bps = state.rate;
-  snap.utilization = state.effective_capacity > 0 ? state.rate / state.effective_capacity : 0.0;
-  snap.bytes_total = state.bytes_total;
-  snap.packets = state.packets;
-  snap.rate_by_tenant_bps = state.rate_by_tenant;
-  snap.bytes_by_tenant = state.bytes_by_tenant;
-  snap.rate_by_class_bps = state.rate_by_class;
-  snap.bytes_by_class = state.bytes_by_class;
-  return snap;
 }
 
+LinkView Fabric::View(topology::DirectedLink dlink) {
+  PrepareRead();
+  return LinkView(dlink, links_[static_cast<size_t>(DirectedIndex(dlink))]);
+}
+
+LinkSnapshot Fabric::Snapshot(topology::DirectedLink dlink) { return Export(View(dlink)); }
+
 std::vector<LinkSnapshot> Fabric::SnapshotAll() {
-  FlushIfDirty();
-  AccrueCounters();
   std::vector<LinkSnapshot> all;
   all.reserve(links_.size());
-  for (const topology::Link& link : topo_.links()) {
-    for (const bool forward : {true, false}) {
-      all.push_back(Snapshot(topology::DirectedLink{link.id, forward}));
-    }
-  }
+  VisitLinks([&all](const LinkView& view) { all.push_back(Export(view)); });
   return all;
 }
 
@@ -392,12 +404,41 @@ void Fabric::AccrueCounters() {
       continue;
     }
     f.bytes_moved += bytes;
-    for (const int32_t li : f.link_indices) {
-      DirectedLinkState& state = links_[static_cast<size_t>(li)];
+    for (size_t h = 0; h < f.link_indices.size(); ++h) {
+      DirectedLinkState& state = links_[static_cast<size_t>(f.link_indices[h])];
       state.bytes_total += bytes;
-      state.bytes_by_tenant[f.spec.tenant] += bytes;
+      TenantCounter& tc = state.tenants[static_cast<size_t>(f.tenant_slots[h])];
+      tc.bytes += bytes;
+      tc.bytes_present = true;
       state.bytes_by_class[static_cast<size_t>(f.spec.klass)] += bytes;
     }
+  }
+}
+
+int32_t Fabric::TenantSlot(int32_t link_index, TenantId tenant) {
+  std::vector<TenantCounter>& tenants = links_[static_cast<size_t>(link_index)].tenants;
+  // Links carry a handful of tenants: a scan beats any index, and it runs
+  // only when a flow is created or a packet is sent.
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    if (tenants[i].tenant == tenant) {
+      return static_cast<int32_t>(i);
+    }
+  }
+  tenants.push_back(TenantCounter{.tenant = tenant});
+  return static_cast<int32_t>(tenants.size() - 1);
+}
+
+void Fabric::BindLinks(FlowState& f) {
+  f.link_indices.reserve(f.spec.path.hops.size());
+  for (const topology::DirectedLink& hop : f.spec.path.hops) {
+    f.link_indices.push_back(DirectedIndex(hop));
+  }
+  std::sort(f.link_indices.begin(), f.link_indices.end());
+  f.link_indices.erase(std::unique(f.link_indices.begin(), f.link_indices.end()),
+                       f.link_indices.end());
+  f.tenant_slots.reserve(f.link_indices.size());
+  for (const int32_t li : f.link_indices) {
+    f.tenant_slots.push_back(TenantSlot(li, f.spec.tenant));
   }
 }
 
@@ -467,13 +508,7 @@ void Fabric::UpdateCacheCoupling() {
           child.demand = desired_spill;
           child.spill_parent = id;
           child.start_time = sim_.Now();
-          for (const topology::DirectedLink& hop : child.spec.path.hops) {
-            child.link_indices.push_back(DirectedIndex(hop));
-          }
-          std::sort(child.link_indices.begin(), child.link_indices.end());
-          child.link_indices.erase(
-              std::unique(child.link_indices.begin(), child.link_indices.end()),
-              child.link_indices.end());
+          BindLinks(child);
           flows_.emplace(child_id, std::move(child));
           f.spill_child = child_id;
           dirty_flows_.push_back(child_id);
@@ -643,18 +678,24 @@ void Fabric::Recompute() {
     }
   }
 
-  // Commit rates and rebuild per-link aggregates.
+  // Commit rates and rebuild per-link aggregates. Tenant rates reset to
+  // absent: only tenants with a flow on the link in this solve reappear.
   for (auto& state : links_) {
     state.rate = 0.0;
-    state.rate_by_tenant.clear();
+    for (TenantCounter& tc : state.tenants) {
+      tc.rate_bps = 0.0;
+      tc.rate_present = false;
+    }
     state.rate_by_class.fill(0.0);
   }
   for (auto& [id, f] : flows_) {
     f.rate = f.solved_rate;
-    for (const int32_t li : f.link_indices) {
-      DirectedLinkState& state = links_[static_cast<size_t>(li)];
+    for (size_t h = 0; h < f.link_indices.size(); ++h) {
+      DirectedLinkState& state = links_[static_cast<size_t>(f.link_indices[h])];
       state.rate += f.rate;
-      state.rate_by_tenant[f.spec.tenant] += f.rate;
+      TenantCounter& tc = state.tenants[static_cast<size_t>(f.tenant_slots[h])];
+      tc.rate_bps += f.rate;
+      tc.rate_present = true;
       state.rate_by_class[static_cast<size_t>(f.spec.klass)] += f.rate;
     }
     // Record achieved spill in the socket stats.
@@ -746,9 +787,10 @@ void Fabric::CheckInvariants() const {
     MIHN_CHECK(std::abs(link_sums[i] - state.rate) <= slack);
     MIHN_CHECK(state.rate <= state.effective_capacity * (1.0 + kRelTol) + kAbsTolBps);
     double tenant_sum = 0.0;
-    for (const auto& [tenant, rate] : state.rate_by_tenant) {
-      MIHN_CHECK(rate >= 0.0);
-      tenant_sum += rate;
+    for (const TenantCounter& tc : state.tenants) {
+      MIHN_CHECK(tc.rate_present || tc.rate_bps == 0.0);  // mihn-check: float-eq-ok(reset value)
+      MIHN_CHECK(tc.rate_bps >= 0.0);
+      tenant_sum += tc.rate_bps;
     }
     MIHN_CHECK(std::abs(tenant_sum - state.rate) <= slack);
   }

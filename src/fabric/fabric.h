@@ -40,7 +40,9 @@
 
 namespace mihn::fabric {
 
-// Telemetry view of one direction of one link.
+// Exported telemetry of one direction of one link: an owning copy with
+// the per-tenant counters as TenantId-ordered maps. Built from the same
+// counters as LinkView; readers that only scan should borrow views instead.
 struct LinkSnapshot {
   topology::LinkId link = topology::kInvalidLink;
   bool forward = true;
@@ -54,6 +56,67 @@ struct LinkSnapshot {
   std::map<TenantId, double> bytes_by_tenant;
   std::array<double, kNumTrafficClasses> rate_by_class_bps{};
   std::array<double, kNumTrafficClasses> bytes_by_class{};
+};
+
+// One tenant's counters on one directed link. A link keeps one entry per
+// tenant it has ever seen, appended in first-seen order and never removed,
+// so a flow can cache its entry's index for every hop when it is created.
+// The presence flags say which exported map the tenant appears in:
+struct TenantCounter {
+  TenantId tenant = kNoTenant;
+  // A flow of this tenant crosses the link in the current solve — even at
+  // rate 0 (LinkSnapshot::rate_by_tenant_bps has the key).
+  bool rate_present = false;
+  // Bytes were ever accrued for this tenant here, or it sent a packet here
+  // (LinkSnapshot::bytes_by_tenant has the key).
+  bool bytes_present = false;
+  double rate_bps = 0.0;
+  double bytes = 0.0;
+};
+
+// The live counters of one directed link, as the fabric maintains them.
+struct LinkCounters {
+  double effective_capacity = 0.0;  // After config + faults.
+  double rate = 0.0;
+  double bytes_total = 0.0;
+  uint64_t packets = 0;
+  std::vector<TenantCounter> tenants;  // First-seen order (see TenantCounter).
+  std::array<double, kNumTrafficClasses> rate_by_class{};
+  std::array<double, kNumTrafficClasses> bytes_by_class{};
+};
+
+// Borrowed, zero-copy view of one directed link's counters: the
+// telemetry read path. Valid until the next call on the fabric that can
+// mutate or settle it (any mutator, any flushing read, or a clock advance);
+// a reader must finish with the view before touching the fabric again.
+class LinkView {
+ public:
+  LinkView(topology::DirectedLink dlink, const LinkCounters& counters)
+      : dlink_(dlink), counters_(&counters) {}
+
+  topology::DirectedLink dlink() const { return dlink_; }
+  double capacity_bps() const { return counters_->effective_capacity; }
+  double rate_bps() const { return counters_->rate; }
+  // rate / capacity in [0, 1]; 0 on a zero-capacity (dead) link.
+  double utilization() const {
+    return counters_->effective_capacity > 0 ? counters_->rate / counters_->effective_capacity
+                                             : 0.0;
+  }
+  double bytes_total() const { return counters_->bytes_total; }
+  uint64_t packets() const { return counters_->packets; }
+  // Every tenant entry, in first-seen order — not TenantId order. Consult
+  // the presence flags: an entry may be present in neither map.
+  const std::vector<TenantCounter>& tenants() const { return counters_->tenants; }
+  const std::array<double, kNumTrafficClasses>& rate_by_class_bps() const {
+    return counters_->rate_by_class;
+  }
+  const std::array<double, kNumTrafficClasses>& bytes_by_class() const {
+    return counters_->bytes_by_class;
+  }
+
+ private:
+  topology::DirectedLink dlink_;
+  const LinkCounters* counters_;
 };
 
 class Fabric {
@@ -103,6 +166,9 @@ class Fabric {
   std::optional<FlowInfo> GetFlowInfo(FlowId id);
   sim::Bandwidth FlowRate(FlowId id) const;
   std::vector<FlowId> ActiveFlows() const;
+  // ActiveFlows().size() without building the vector (flushes the same way:
+  // spill companions materialize at the solve).
+  size_t active_flow_count() const;
 
   // -- Packets -----------------------------------------------------------------
   // Sends a packetized message; on_delivered fires after per-hop congestion
@@ -133,8 +199,29 @@ class Fabric {
   void SetConfig(FabricConfig config);
 
   // -- Telemetry access ----------------------------------------------------------
-  // Both accrue pending fluid bytes before reporting, so counters are
-  // exact as of Now().
+  // The read path. Every accessor settles pending mutations and accrues
+  // pending fluid bytes first, so counters are exact as of Now().
+  //
+  // View() borrows one directed link's counters; VisitLinks() calls
+  // fn(const LinkView&) for every directed link — topology link order,
+  // forward direction first — after a single settle + accrual. Neither
+  // copies or allocates. |fn| must not call back into the fabric.
+  LinkView View(topology::DirectedLink dlink);
+  template <typename Fn>
+  void VisitLinks(Fn&& fn) {
+    PrepareRead();
+    for (const topology::Link& link : topo_.links()) {
+      for (const bool forward : {true, false}) {
+        const topology::DirectedLink dlink{link.id, forward};
+        fn(LinkView(dlink, links_[static_cast<size_t>(DirectedIndex(dlink))]));
+      }
+    }
+  }
+
+  // Exporters: owning copies built from the same views, tenants sorted by
+  // TenantId into maps. SnapshotAll() is one VisitLinks() pass, in its
+  // order. For tests, tools and benchmarks; production readers under src/
+  // borrow views (mihn-check D8 enforces it).
   LinkSnapshot Snapshot(topology::DirectedLink dlink);
   std::vector<LinkSnapshot> SnapshotAll();
 
@@ -211,6 +298,9 @@ class Fabric {
     FlowId spill_child = kInvalidFlow;
     FlowId spill_parent = kInvalidFlow;
     std::vector<int32_t> link_indices;  // DirectedIndex per hop (deduped).
+    // Per hop, parallel to link_indices: this flow's tenant entry in that
+    // link's LinkCounters::tenants (entries are append-only, so it stays put).
+    std::vector<int32_t> tenant_slots;
     double solved_rate = 0.0;           // Scratch: last SolveRates() output.
     // Retained-solver mirror: the slot this flow occupies in the solver's
     // rate vector, and the weight/effective-demand values last pushed to it.
@@ -221,17 +311,21 @@ class Fabric {
     double pushed_demand = -1.0;
   };
 
-  struct DirectedLinkState {
+  struct DirectedLinkState : LinkCounters {
     double raw_capacity = 0.0;
-    double effective_capacity = 0.0;
-    double rate = 0.0;
-    double bytes_total = 0.0;
-    uint64_t packets = 0;
-    std::map<TenantId, double> rate_by_tenant;
-    std::map<TenantId, double> bytes_by_tenant;
-    std::array<double, kNumTrafficClasses> rate_by_class{};
-    std::array<double, kNumTrafficClasses> bytes_by_class{};
   };
+
+  // Settles pending mutations and accrues pending bytes: the common
+  // prologue of every telemetry read.
+  void PrepareRead();
+
+  // |tenant|'s entry index in links_[link_index].tenants, appending a
+  // fresh (flag-less) entry the first time the tenant shows up there.
+  int32_t TenantSlot(int32_t link_index, TenantId tenant);
+
+  // Sorts, dedupes and stores the hops of |f|'s path and caches its tenant
+  // entry on each (creating entries as needed).
+  void BindLinks(FlowState& f);
 
   // Moves fluid bytes for the interval since the last accrual into the
   // per-link and per-flow counters. Must be called before any rate change.

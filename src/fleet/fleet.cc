@@ -31,10 +31,11 @@ Fleet::Fleet(int num_hosts, Options options)
     hosts_.push_back(std::make_unique<HostNetwork>(sim_, options_.host));
   }
   stagings_.resize(hosts_.size());
-  const int requested =
-      options_.worker_threads > 1 ? options_.worker_threads : options_.aggregation_threads;
-  if (requested > 1) {
-    pool_ = std::make_unique<core::WorkerPool>(requested, options_.clamp_workers_to_hardware);
+  lifts_.resize(hosts_.size());
+  caps_.resize(hosts_.size());
+  if (options_.worker_threads > 1) {
+    pool_ = std::make_unique<core::WorkerPool>(options_.worker_threads,
+                                               options_.clamp_workers_to_hardware);
   }
 }
 
@@ -118,14 +119,16 @@ void Fleet::CoupleCrossHostFlows() {
   }
   // Lift the previous tick's caps so each intra-host stage re-competes at
   // its full demand; batched per host so every host pays one recompute.
-  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> lifts(hosts_.size());
+  for (LimitBatch& batch : lifts_) {
+    batch.clear();
+  }
   for (const auto& [id, flow] : cross_flows_) {
-    lifts[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, flow.spec.demand);
-    lifts[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, flow.spec.demand);
+    lifts_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, flow.spec.demand);
+    lifts_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, flow.spec.demand);
   }
   for (size_t h = 0; h < hosts_.size(); ++h) {
-    if (!lifts[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(lifts[h]);
+    if (!lifts_[h].empty()) {
+      hosts_[h]->fabric().SetFlowLimitsBatch(lifts_[h]);
     }
   }
   // Settle the lifted fabrics across the pool before reading rates — a
@@ -144,16 +147,18 @@ void Fleet::CoupleCrossHostFlows() {
   }
   inter_.Solve();
   // Cap both intra-host stages at the end-to-end rate.
-  std::vector<std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>> caps(hosts_.size());
+  for (LimitBatch& batch : caps_) {
+    batch.clear();
+  }
   for (auto& [id, flow] : cross_flows_) {
     flow.coupled_rate_bps = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
     const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);
-    caps[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
-    caps[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
+    caps_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
+    caps_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
   }
   for (size_t h = 0; h < hosts_.size(); ++h) {
-    if (!caps[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(caps[h]);
+    if (!caps_[h].empty()) {
+      hosts_[h]->fabric().SetFlowLimitsBatch(caps_[h]);
     }
   }
 }
@@ -190,21 +195,24 @@ HostSample Fleet::ReduceHost(int i) {
   sample.host = i;
   double util_sum = 0.0;
   int util_count = 0;
-  for (const fabric::LinkSnapshot& snap : fabric.SnapshotAll()) {
-    sample.bytes_total += snap.bytes_total;
-    sample.rate_total_bps += snap.rate_bps;
-    if (snap.capacity_bps <= 0.0) {
-      continue;
+  // Borrowed views: the reduction reads three scalars per link and copies
+  // nothing, so it allocates nothing.
+  fabric.VisitLinks([&](const fabric::LinkView& link) {
+    sample.bytes_total += link.bytes_total();
+    sample.rate_total_bps += link.rate_bps();
+    if (link.capacity_bps() <= 0.0) {
+      return;
     }
-    util_sum += snap.utilization;
+    const double utilization = link.utilization();
+    util_sum += utilization;
     ++util_count;
-    sample.max_utilization = std::max(sample.max_utilization, snap.utilization);
-    if (snap.utilization >= options_.congestion_threshold) {
+    sample.max_utilization = std::max(sample.max_utilization, utilization);
+    if (utilization >= options_.congestion_threshold) {
       ++sample.congested_links;
     }
-  }
+  });
   sample.mean_utilization = util_count > 0 ? util_sum / util_count : 0.0;
-  sample.active_flows = static_cast<int>(fabric.ActiveFlows().size());
+  sample.active_flows = static_cast<int>(fabric.active_flow_count());
   return sample;
 }
 

@@ -114,12 +114,8 @@ class Fleet {
     // the staged-events seam), per-host telemetry reduction, and the
     // root-cause scan all share one persistent core::WorkerPool. <= 1 runs
     // serially; digests are byte-identical across any value (per-host
-    // results merge in strict host order). Takes precedence over
-    // aggregation_threads when both are set.
+    // results merge in strict host order).
     int worker_threads = 0;
-    // Pre-worker-pool name for the same knob: sizes the shared pool when
-    // worker_threads is unset. Kept so existing callers keep their speedup.
-    int aggregation_threads = 0;
     // Cap the pool at std::thread::hardware_concurrency(). Oversubscribing
     // the tick's compute-bound chunks only adds context switches; tests
     // disable the clamp to force real cross-thread execution even on small
@@ -214,6 +210,12 @@ class Fleet {
   std::map<CrossFlowId, CrossFlow> cross_flows_;  // Ordered: deterministic coupling.
   CrossFlowId next_cross_id_ = 1;
   std::vector<FleetSample> samples_;
+  // CoupleCrossHostFlows() scratch, one batch per host: the limit lifts and
+  // the end-to-end caps. Cleared and refilled every tick, so their capacity
+  // carries over and a steady tick allocates nothing for them.
+  using LimitBatch = std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>;
+  std::vector<LimitBatch> lifts_;
+  std::vector<LimitBatch> caps_;
   // Null when the fleet is serial (effective worker_threads <= 1). Worker
   // threads only ever run inside ForEachHost rounds, so the pool needs no
   // particular destruction order relative to sim_/hosts_.

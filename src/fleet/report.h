@@ -21,8 +21,8 @@
 
 namespace mihn::fleet {
 
-// One host's rollup of one fleet tick, reduced from its fabric's
-// SnapshotAll() — small enough that 256 hosts × thousands of ticks stay
+// One host's rollup of one fleet tick, reduced from its fabric's borrowed
+// link views (Fabric::VisitLinks) — small enough that 256 hosts × thousands of ticks stay
 // resident, unlike retaining every per-link series on every host.
 struct HostSample {
   int host = 0;

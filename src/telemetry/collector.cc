@@ -52,29 +52,36 @@ void Collector::SampleOnce() {
 
   const sim::TimeNs now = fabric_.simulation().Now();
   const double dt = (now - last_sample_time_).ToSecondsF();
-  for (const fabric::LinkSnapshot& snap : fabric_.SnapshotAll()) {
-    Record(LinkUtilKey(snap.link, snap.forward), snap.utilization);
-    Record(LinkRateKey(snap.link, snap.forward), snap.rate_bps);
-    Record(LinkBytesKey(snap.link, snap.forward), snap.bytes_total);
+  // Record() only touches the metric store, never the fabric, so the
+  // borrowed views stay valid for the whole pass.
+  fabric_.VisitLinks([&](const fabric::LinkView& view) {
+    const topology::DirectedLink dlink = view.dlink();
+    Record(LinkUtilKey(dlink.link, dlink.forward), view.utilization());
+    Record(LinkRateKey(dlink.link, dlink.forward), view.rate_bps());
+    Record(LinkBytesKey(dlink.link, dlink.forward), view.bytes_total());
     // Byte-delta throughput: covers fluid AND packet traffic.
-    const int32_t index = topology::DirectedIndex({snap.link, snap.forward});
-    double& prev = prev_bytes_[index];
-    const double thpt = (dt > 0.0 && samples_taken_ > 1) ? (snap.bytes_total - prev) / dt : 0.0;
-    prev = snap.bytes_total;
-    Record(LinkThroughputKey(snap.link, snap.forward), thpt);
+    double& prev = prev_bytes_[topology::DirectedIndex(dlink)];
+    const double thpt =
+        (dt > 0.0 && samples_taken_ > 1) ? (view.bytes_total() - prev) / dt : 0.0;
+    prev = view.bytes_total();
+    Record(LinkThroughputKey(dlink.link, dlink.forward), thpt);
     if (fine) {
-      for (const auto& [tenant, rate] : snap.rate_by_tenant_bps) {
-        Record(TenantRateKey(snap.link, snap.forward, tenant), rate);
+      // Every tenant present in this solve gets a point, even at rate 0.
+      // Series are keyed, so first-seen tenant order never shows.
+      for (const fabric::TenantCounter& tc : view.tenants()) {
+        if (tc.rate_present) {
+          Record(TenantRateKey(dlink.link, dlink.forward, tc.tenant), tc.rate_bps);
+        }
       }
       for (int k = 0; k < fabric::kNumTrafficClasses; ++k) {
-        const double rate = snap.rate_by_class_bps[static_cast<size_t>(k)];
+        const double rate = view.rate_by_class_bps()[static_cast<size_t>(k)];
         if (rate > 0.0) {
-          Record(ClassRateKey(snap.link, snap.forward, static_cast<fabric::TrafficClass>(k)),
+          Record(ClassRateKey(dlink.link, dlink.forward, static_cast<fabric::TrafficClass>(k)),
                  rate);
         }
       }
     }
-  }
+  });
   if (fine) {
     for (const topology::ComponentId socket :
          fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {

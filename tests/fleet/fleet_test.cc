@@ -144,11 +144,12 @@ TEST(FleetTest, DigestIndependentOfPlacementOrder) {
 }
 
 TEST(FleetTest, DigestIndependentOfAggregationThreads) {
-  // The pre-worker-pool knob still sizes the shared pool.
+  // The parallel telemetry reduction (worker_threads, which also sizes the
+  // settle and root-cause fan-out) never shows in the digest.
   Fleet::Options serial;
-  serial.aggregation_threads = 0;
+  serial.worker_threads = 0;
   Fleet::Options threaded;
-  threaded.aggregation_threads = 4;
+  threaded.worker_threads = 4;
   threaded.clamp_workers_to_hardware = false;  // Real threads even on 1 core.
   EXPECT_EQ(RunGate(64, 3, serial, false), RunGate(64, 3, threaded, false));
 }

@@ -250,12 +250,15 @@ void RuleHeaderHygiene(RuleContext& ctx) {
 
 // -- D8 api drift -------------------------------------------------------------
 
-// Deprecated identifiers, banned as exact tokens (so SolveMaxMinReference,
-// the retained oracle, never trips the SolveMaxMin ban).
+// Banned identifiers, matched as exact tokens (so SolveMaxMinReference,
+// the retained oracle, never trips the SolveMaxMin ban). A ban applies to
+// paths under |scope| ("" = everywhere) except those under |home|.
 struct BannedToken {
   const char* token;
   const char* hint;
   std::initializer_list<const char*> allowlist;  // Definition sites + differential tests.
+  const char* scope = "";
+  const char* home = nullptr;
 };
 
 const BannedToken kBannedTokens[] = {
@@ -263,7 +266,26 @@ const BannedToken kBannedTokens[] = {
      "deprecated one-shot solver; use MaxMinSolver (Begin/AddFlow/Commit, or the retained "
      "SolveDelta path for incremental updates)",
      {}},  // Fully retired: even the solver sources no longer say the name.
+    // The telemetry exporters copy tenant maps; production readers outside
+    // the fabric borrow views. Tests, tools and benchmarks may export.
+    {"Snapshot",
+     "copies the link's tenant maps; production readers borrow the zero-copy view "
+     "(Fabric::View / VisitLinks) — the exporters are for tests, tools and benchmarks",
+     {},
+     "src/",
+     "src/fabric/"},
+    {"SnapshotAll",
+     "copies every link's tenant maps; production readers borrow the zero-copy view "
+     "(Fabric::VisitLinks) — the exporters are for tests, tools and benchmarks",
+     {},
+     "src/",
+     "src/fabric/"},
 };
+
+bool InBanScope(const std::string& rel_path, const BannedToken& ban) {
+  const auto under = [&rel_path](const char* prefix) { return rel_path.rfind(prefix, 0) == 0; };
+  return under(ban.scope) && (ban.home == nullptr || !under(ban.home));
+}
 
 // Deprecated headers, banned as include targets.
 struct BannedInclude {
@@ -281,7 +303,7 @@ const BannedInclude kBannedIncludes[] = {
 
 void RuleApiDrift(RuleContext& ctx) {
   for (const BannedToken& ban : kBannedTokens) {
-    if (IsOneOf(ctx.rel_path, ban.allowlist)) {
+    if (IsOneOf(ctx.rel_path, ban.allowlist) || !InBanScope(ctx.rel_path, ban)) {
       continue;
     }
     int last_line = -1;

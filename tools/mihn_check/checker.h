@@ -48,6 +48,10 @@
 //                            (src/diagnose/tools.h) are banned everywhere —
 //                            both migrations are finished, so the allowlists
 //                            are empty and the bans only stop revivals.
+//                            Scoped: the telemetry exporters (Snapshot,
+//                            SnapshotAll) are banned under src/ outside
+//                            src/fabric/ — production readers borrow
+//                            LinkView; tests, tools and benches may export.
 //                            Suppress: drift-ok(...)
 //      owned-clock           HostNetwork must be constructed through the
 //                            clock-injection constructors (first argument a

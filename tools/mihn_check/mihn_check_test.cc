@@ -160,6 +160,28 @@ TEST(MihnCheckTest, D8BansAreUnconditionalAcrossSurfaces) {
   }
 }
 
+TEST(MihnCheckTest, D8FlagsSnapshotExportersUnderSrcOutsideFabric) {
+  const std::string bad = ReadFixture("d8_snapshot_bad.cc");
+  for (const char* rel : {"src/fleet/fleet.cc", "src/telemetry/collector.cc",
+                          "src/anomaly/root_cause.cc"}) {
+    const auto findings = CheckFile(rel, bad);
+    EXPECT_EQ(CountRule(findings, "D8:api-drift"), 2u) << rel;
+    EXPECT_EQ(findings.size(), 2u) << rel;
+  }
+  EXPECT_TRUE(CheckFile("src/fleet/fleet.cc", ReadFixture("d8_snapshot_good.cc")).empty());
+}
+
+TEST(MihnCheckTest, D8SnapshotScopeExemptsFabricTestsAndBenches) {
+  // The fabric defines the exporters; tests, tools and benchmarks export
+  // on purpose.
+  const std::string bad = ReadFixture("d8_snapshot_bad.cc");
+  for (const char* rel : {"src/fabric/fabric.cc", "tests/fabric/link_view_test.cc",
+                          "bench/bench_monitoring_overhead.cpp",
+                          "perfbench/fleet_workload.cc", "d8_snapshot_bad.cc"}) {
+    EXPECT_TRUE(CheckFile(rel, bad).empty()) << rel;
+  }
+}
+
 TEST(MihnCheckTest, D8FiresOnOwningClockConstructions) {
   const auto findings = Check("d8_clock_bad.cc");
   EXPECT_EQ(CountRule(findings, "D8:owned-clock"), 3u);
