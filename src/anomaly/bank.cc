@@ -12,13 +12,24 @@ void DetectorBank::Attach(std::string metric_key, std::unique_ptr<Detector> dete
 }
 
 std::vector<Anomaly> DetectorBank::Scan(const telemetry::Collector& collector) {
+  if (resolved_for_ != &collector) {
+    for (Attachment& a : attachments_) {
+      a.series = nullptr;
+    }
+    resolved_for_ = &collector;
+  }
   std::vector<Anomaly> fired;
   for (Attachment& a : attachments_) {
-    const sim::TimeSeries* series = collector.Series(a.metric);
-    if (series == nullptr) {
-      continue;
+    if (a.series == nullptr) {
+      a.series = collector.Series(a.metric);
+      if (a.series == nullptr) {
+        continue;
+      }
     }
-    for (const sim::TimePoint& p : series->Window(a.last_seen + sim::TimeNs::Nanos(1))) {
+    const sim::TimeSeries& series = *a.series;
+    for (size_t i = series.FirstIndexAtOrAfter(a.last_seen + sim::TimeNs::Nanos(1));
+         i < series.size(); ++i) {
+      const sim::TimePoint& p = series.At(i);
       a.last_seen = p.time;
       if (auto anomaly = a.detector->Observe(p.time, p.value)) {
         anomaly->metric = a.metric;

@@ -23,9 +23,17 @@ class DetectorBank {
   // detectors per metric are allowed.
   void Attach(std::string metric_key, std::unique_ptr<Detector> detector);
 
-  // Feeds every not-yet-seen sample of every attached series through its
-  // detectors. Returns the anomalies fired by this scan (also appended to
-  // log()). Call after (or periodically alongside) collector sampling.
+  // Feeds every not-yet-seen sample (time > the last point this attachment
+  // consumed) of every attached series through its detectors, in place.
+  // Returns the anomalies fired by this scan (also appended to log()). Call
+  // after (or periodically alongside) collector sampling.
+  //
+  // Series are resolved once per attachment and cached: a key that does
+  // not exist yet is looked up again on every scan until it appears, and
+  // handing Scan a different collector than last time drops every cached
+  // series. The cache relies on Collector::Series() pointers staying valid
+  // for the collector's lifetime, so the collector a bank last scanned must
+  // outlive any further scan of it.
   std::vector<Anomaly> Scan(const telemetry::Collector& collector);
 
   // Resets every attached detector's learned state without re-scanning old
@@ -44,9 +52,12 @@ class DetectorBank {
     std::string metric;
     std::unique_ptr<Detector> detector;
     sim::TimeNs last_seen = sim::TimeNs::Nanos(-1);
+    const sim::TimeSeries* series = nullptr;  // Cached for resolved_for_.
   };
 
   std::vector<Attachment> attachments_;
+  // The collector the cached series pointers belong to.
+  const telemetry::Collector* resolved_for_ = nullptr;
   std::vector<Anomaly> log_;
 };
 

@@ -64,6 +64,7 @@ void HeartbeatMesh::Tick() {
         state.smoothed_ns > config_.degradation_factor * state.baseline_ns;
     if (degraded && !state.alarmed) {
       state.alarmed = true;
+      ++alarmed_count_;
       state.alarmed_at = now;
       state.open_alarm = static_cast<int>(alarm_log_.size());
       AlarmEvent event;
@@ -105,6 +106,7 @@ void HeartbeatMesh::CloseAlarm(PairState& state, sim::TimeNs now) {
     return;
   }
   state.alarmed = false;
+  --alarmed_count_;
   if (state.open_alarm >= 0) {
     AlarmEvent& event = alarm_log_[static_cast<size_t>(state.open_alarm)];
     event.cleared = true;

@@ -81,6 +81,8 @@ class HeartbeatMesh {
   std::vector<PairReport> Pairs() const;
   // Only the alarmed pairs.
   std::vector<PairReport> Alarms() const;
+  // Alarms().size() in O(1), without building any report.
+  size_t alarmed_count() const { return alarmed_count_; }
   // Virtual time of the first alarm, if any (detection-latency metric).
   std::optional<sim::TimeNs> first_alarm_at() const { return first_alarm_at_; }
 
@@ -128,6 +130,8 @@ class HeartbeatMesh {
   uint64_t last_route_epoch_ = 0;
   std::optional<sim::TimeNs> first_alarm_at_;
   std::vector<AlarmEvent> alarm_log_;
+  // Pairs with alarmed set: raised in Tick(), lowered only in CloseAlarm().
+  size_t alarmed_count_ = 0;
 };
 
 }  // namespace mihn::anomaly

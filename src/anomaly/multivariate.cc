@@ -146,7 +146,9 @@ std::vector<Anomaly> CrossMetricWatch::Scan(const telemetry::Collector& collecto
     if (series == nullptr) {
       continue;
     }
-    for (const sim::TimePoint& p : series->Window(last_seen_ + sim::TimeNs::Nanos(1))) {
+    for (size_t j = series->FirstIndexAtOrAfter(last_seen_ + sim::TimeNs::Nanos(1));
+         j < series->size(); ++j) {
+      const sim::TimePoint& p = series->At(j);
       by_time[p.time.nanos()].emplace_back(i, p.value);
     }
   }

@@ -450,7 +450,7 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
 
         HealthSample sample;
         sample.at = now;
-        sample.healthy = !new_signal && (!mesh || mesh->Alarms().empty());
+        sample.healthy = !new_signal && (!mesh || mesh->alarmed_count() == 0);
         result.health.push_back(sample);
         MIHN_TRACE_COUNTER(host.fabric().tracer(), "chaos", "chaos.signals",
                            result.signals.size());

@@ -268,12 +268,19 @@ void Fleet::Run(int ticks) {
   }
 }
 
+uint64_t Fleet::TelemetryDigest() const {
+  for (; digest_folded_ < samples_.size(); ++digest_folded_) {
+    digest_.Fold(samples_[digest_folded_]);
+  }
+  return digest_.value();
+}
+
 std::string Fleet::RenderReport() const {
-  return RenderFleetReport(host_count(), inter_.racks(), samples_);
+  return RenderFleetReport(host_count(), inter_.racks(), samples_, TelemetryDigest());
 }
 
 bool Fleet::WriteReportFile(const std::string& path) const {
-  return WriteFleetReportFile(path, host_count(), inter_.racks(), samples_);
+  return WriteFleetReportFile(path, host_count(), inter_.racks(), samples_, TelemetryDigest());
 }
 
 void Fleet::EnableHeartbeats(anomaly::HeartbeatMesh::Config config) {

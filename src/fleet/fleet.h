@@ -161,8 +161,10 @@ class Fleet {
 
   // -- Telemetry ---------------------------------------------------------------
   const std::vector<FleetSample>& samples() const { return samples_; }
-  // FNV-1a 64 digest of the full sample history (see report.h).
-  uint64_t TelemetryDigest() const { return DigestSamples(samples_); }
+  // FNV-1a 64 digest of the full sample history (see report.h). Folds only
+  // the samples added since the previous call into a running state; Tick()
+  // itself never pays for the encoding.
+  uint64_t TelemetryDigest() const;
   // JSON report over the sample history (see report.h).
   std::string RenderReport() const;
   bool WriteReportFile(const std::string& path) const;
@@ -210,6 +212,10 @@ class Fleet {
   std::map<CrossFlowId, CrossFlow> cross_flows_;  // Ordered: deterministic coupling.
   CrossFlowId next_cross_id_ = 1;
   std::vector<FleetSample> samples_;
+  // Running digest over samples_[0, digest_folded_): advanced lazily by
+  // TelemetryDigest(), which is logically const.
+  mutable SampleDigest digest_;
+  mutable size_t digest_folded_ = 0;
   // CoupleCrossHostFlows() scratch, one batch per host: the limit lifts and
   // the end-to-end caps. Cleared and refilled every tick, so their capacity
   // carries over and a steady tick allocates nothing for them.

@@ -20,7 +20,6 @@ std::string Int(int64_t v) {
   return std::string(buf);
 }
 
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
 uint64_t FnvFold(uint64_t h, const std::string& s) {
@@ -49,25 +48,29 @@ std::string EncodeSample(const FleetSample& sample) {
   return out.str();
 }
 
+void SampleDigest::Fold(const FleetSample& sample) {
+  state_ = FnvFold(state_, EncodeSample(sample));
+  state_ = FnvFold(state_, "\n");
+}
+
 uint64_t DigestSamples(const std::vector<FleetSample>& samples) {
-  uint64_t h = kFnvOffset;
+  SampleDigest digest;
   for (const FleetSample& s : samples) {
-    h = FnvFold(h, EncodeSample(s));
-    h = FnvFold(h, "\n");
+    digest.Fold(s);
   }
-  return h;
+  return digest.value();
 }
 
 std::string RenderFleetReport(int host_count, int rack_count,
-                              const std::vector<FleetSample>& samples) {
+                              const std::vector<FleetSample>& samples, uint64_t digest) {
   std::ostringstream out;
-  char digest[32];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(DigestSamples(samples)));
+  char digest_hex[32];
+  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                static_cast<unsigned long long>(digest));
   out << "{\n";
   out << "  \"fleet\": {\"hosts\": " << Int(host_count) << ", \"racks\": " << Int(rack_count)
       << ", \"ticks\": " << Int(static_cast<int64_t>(samples.size())) << "},\n";
-  out << "  \"telemetry_digest\": \"" << digest << "\",\n";
+  out << "  \"telemetry_digest\": \"" << digest_hex << "\",\n";
   out << "  \"ticks\": [\n";
   for (size_t i = 0; i < samples.size(); ++i) {
     const FleetSample& s = samples[i];
@@ -101,12 +104,12 @@ std::string RenderFleetReport(int host_count, int rack_count,
 }
 
 bool WriteFleetReportFile(const std::string& path, int host_count, int rack_count,
-                          const std::vector<FleetSample>& samples) {
+                          const std::vector<FleetSample>& samples, uint64_t digest) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return false;
   }
-  out << RenderFleetReport(host_count, rack_count, samples);
+  out << RenderFleetReport(host_count, rack_count, samples, digest);
   return static_cast<bool>(out);
 }
 

@@ -53,18 +53,33 @@ struct FleetSample {
 // / integer formatting): what the digest hashes and the report embeds.
 std::string EncodeSample(const FleetSample& sample);
 
+// Running FNV-1a 64 state over EncodeSample() lines, one per sample in
+// order: folding a history one sample at a time gives DigestSamples() of
+// that history, so a growing history is hashed once, not once per read.
+class SampleDigest {
+ public:
+  void Fold(const FleetSample& sample);
+  // 0xcbf29ce484222325 before the first Fold().
+  uint64_t value() const { return state_; }
+
+ private:
+  uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
 // FNV-1a 64 over EncodeSample() of every sample in order. 0xcbf29ce484222325
 // for an empty history.
 uint64_t DigestSamples(const std::vector<FleetSample>& samples);
 
 // Deterministic JSON fleet report: configuration echo, per-tick fleet
-// aggregates, the final tick's per-host rows, and the digest.
+// aggregates, the final tick's per-host rows, and the digest. |digest| must
+// be DigestSamples(samples); the caller passes it because it usually holds
+// it already (Fleet::TelemetryDigest()).
 std::string RenderFleetReport(int host_count, int rack_count,
-                              const std::vector<FleetSample>& samples);
+                              const std::vector<FleetSample>& samples, uint64_t digest);
 
 // Writes RenderFleetReport to |path|. Returns false on I/O failure.
 bool WriteFleetReportFile(const std::string& path, int host_count, int rack_count,
-                          const std::vector<FleetSample>& samples);
+                          const std::vector<FleetSample>& samples, uint64_t digest);
 
 }  // namespace mihn::fleet
 

@@ -35,13 +35,8 @@ void Collector::Stop() {
   timer_.Cancel();
 }
 
-void Collector::Record(const std::string& key, double value) {
-  auto it = series_.find(key);
-  if (it == series_.end()) {
-    it = series_.emplace(key, sim::TimeSeries(config_.series_capacity)).first;
-  }
-  it->second.Append(fabric_.simulation().Now(), value);
-  ++last_tick_metrics_;
+sim::TimeSeries* Collector::Resolve(std::string key) {
+  return &series_.try_emplace(std::move(key), config_.series_capacity).first->second;
 }
 
 void Collector::SampleOnce() {
@@ -52,43 +47,72 @@ void Collector::SampleOnce() {
 
   const sim::TimeNs now = fabric_.simulation().Now();
   const double dt = (now - last_sample_time_).ToSecondsF();
-  // Record() only touches the metric store, never the fabric, so the
+  if (samples_taken_ == 1) {
+    // The handle tables are built by the first sample, not at
+    // construction: a host whose collector never runs (every fleet host)
+    // pays nothing for them.
+    links_.resize(2 * fabric_.topo().link_count());
+    if (fine) {
+      for (const topology::ComponentId socket :
+           fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {
+        sockets_.push_back({socket, Resolve(CacheHitKey(socket)), Resolve(CacheSpillKey(socket))});
+      }
+    }
+  }
+  // Appends only touch the metric store, never the fabric, so the
   // borrowed views stay valid for the whole pass.
   fabric_.VisitLinks([&](const fabric::LinkView& view) {
     const topology::DirectedLink dlink = view.dlink();
-    Record(LinkUtilKey(dlink.link, dlink.forward), view.utilization());
-    Record(LinkRateKey(dlink.link, dlink.forward), view.rate_bps());
-    Record(LinkBytesKey(dlink.link, dlink.forward), view.bytes_total());
+    LinkSeries& ls = links_[static_cast<size_t>(topology::DirectedIndex(dlink))];
+    if (ls.util == nullptr) {
+      ls.util = Resolve(LinkUtilKey(dlink.link, dlink.forward));
+      ls.rate = Resolve(LinkRateKey(dlink.link, dlink.forward));
+      ls.bytes = Resolve(LinkBytesKey(dlink.link, dlink.forward));
+      ls.thpt = Resolve(LinkThroughputKey(dlink.link, dlink.forward));
+    }
+    Append(ls.util, now, view.utilization());
+    Append(ls.rate, now, view.rate_bps());
+    Append(ls.bytes, now, view.bytes_total());
     // Byte-delta throughput: covers fluid AND packet traffic.
-    double& prev = prev_bytes_[topology::DirectedIndex(dlink)];
     const double thpt =
-        (dt > 0.0 && samples_taken_ > 1) ? (view.bytes_total() - prev) / dt : 0.0;
-    prev = view.bytes_total();
-    Record(LinkThroughputKey(dlink.link, dlink.forward), thpt);
+        (dt > 0.0 && samples_taken_ > 1) ? (view.bytes_total() - ls.prev_bytes) / dt : 0.0;
+    ls.prev_bytes = view.bytes_total();
+    Append(ls.thpt, now, thpt);
     if (fine) {
       // Every tenant present in this solve gets a point, even at rate 0.
       // Series are keyed, so first-seen tenant order never shows.
-      for (const fabric::TenantCounter& tc : view.tenants()) {
-        if (tc.rate_present) {
-          Record(TenantRateKey(dlink.link, dlink.forward, tc.tenant), tc.rate_bps);
+      const std::vector<fabric::TenantCounter>& tenants = view.tenants();
+      if (ls.tenants.size() < tenants.size()) {
+        ls.tenants.resize(tenants.size());
+      }
+      for (size_t i = 0; i < tenants.size(); ++i) {
+        const fabric::TenantCounter& tc = tenants[i];
+        if (!tc.rate_present) {
+          continue;
         }
+        sim::TimeSeries*& series = ls.tenants[i];
+        if (series == nullptr) {
+          series = Resolve(TenantRateKey(dlink.link, dlink.forward, tc.tenant));
+        }
+        Append(series, now, tc.rate_bps);
       }
       for (int k = 0; k < fabric::kNumTrafficClasses; ++k) {
         const double rate = view.rate_by_class_bps()[static_cast<size_t>(k)];
         if (rate > 0.0) {
-          Record(ClassRateKey(dlink.link, dlink.forward, static_cast<fabric::TrafficClass>(k)),
-                 rate);
+          sim::TimeSeries*& series = ls.classes[static_cast<size_t>(k)];
+          if (series == nullptr) {
+            series = Resolve(
+                ClassRateKey(dlink.link, dlink.forward, static_cast<fabric::TrafficClass>(k)));
+          }
+          Append(series, now, rate);
         }
       }
     }
   });
-  if (fine) {
-    for (const topology::ComponentId socket :
-         fabric_.topo().ComponentsOfKind(topology::ComponentKind::kCpuSocket)) {
-      const fabric::SocketCacheStats stats = fabric_.CacheStats(socket);
-      Record(CacheHitKey(socket), stats.hit_rate);
-      Record(CacheSpillKey(socket), stats.spill_rate_bps);
-    }
+  for (const SocketSeries& s : sockets_) {
+    const fabric::SocketCacheStats stats = fabric_.CacheStats(s.socket);
+    Append(s.hit, now, stats.hit_rate);
+    Append(s.spill, now, stats.spill_rate_bps);
   }
 
   last_sample_time_ = now;

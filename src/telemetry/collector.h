@@ -21,6 +21,7 @@
 #ifndef MIHN_SRC_TELEMETRY_COLLECTOR_H_
 #define MIHN_SRC_TELEMETRY_COLLECTOR_H_
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,7 +43,9 @@ class Collector {
   struct Config {
     sim::TimeNs period = sim::TimeNs::Millis(1);
     Granularity granularity = Granularity::kFine;
-    // Retained points per series (the storage half of Q2).
+    // Maximum retained points per series (the storage half of Q2). Memory
+    // follows the points actually retained: a series' ring grows on demand
+    // up to this and then drops its oldest point per new one.
     size_t series_capacity = 4096;
     // Where encoded samples are shipped (kInvalidComponent = processed
     // in-place, no fabric cost).
@@ -66,7 +69,10 @@ class Collector {
   void SampleOnce();
 
   // -- Series access ----------------------------------------------------------
-  // nullptr if the key has never been sampled.
+  // nullptr if the key has never been sampled. A non-null pointer stays
+  // valid, and keeps naming the same series, for the collector's lifetime:
+  // series live in std::map nodes, which never move, and are never erased.
+  // Readers that scan repeatedly (DetectorBank) resolve a key once.
   const sim::TimeSeries* Series(const std::string& key) const;
   std::vector<std::string> Keys() const;
   size_t series_count() const { return series_.size(); }
@@ -97,14 +103,43 @@ class Collector {
   fabric::Fabric& fabric() { return fabric_; }
 
  private:
-  void Record(const std::string& key, double value);
+  // The series handles of one directed link, resolved on first use. Slot i
+  // of |tenants| holds the rate series of entry i of the link's
+  // LinkCounters::tenants, which is append-only, so a slot never changes
+  // tenant.
+  struct LinkSeries {
+    sim::TimeSeries* util = nullptr;
+    sim::TimeSeries* rate = nullptr;
+    sim::TimeSeries* bytes = nullptr;
+    sim::TimeSeries* thpt = nullptr;
+    std::vector<sim::TimeSeries*> tenants;
+    std::array<sim::TimeSeries*, fabric::kNumTrafficClasses> classes{};
+    double prev_bytes = 0.0;  // bytes_total at the previous sample.
+  };
+  struct SocketSeries {
+    topology::ComponentId socket = topology::kInvalidComponent;
+    sim::TimeSeries* hit = nullptr;
+    sim::TimeSeries* spill = nullptr;
+  };
+
+  // The series named |key|, created empty if new. Called once per series:
+  // the sampling path builds a key string only to create its series.
+  sim::TimeSeries* Resolve(std::string key);
+  void Append(sim::TimeSeries* series, sim::TimeNs now, double value) {
+    series->Append(now, value);
+    ++last_tick_metrics_;
+  }
 
   fabric::Fabric& fabric_;
   Config config_;
   std::map<std::string, sim::TimeSeries> series_;
+  // Handle tables, built by the first SampleOnce(): one LinkSeries per
+  // directed link (indexed by topology::DirectedIndex), and the socket
+  // cache series (fine granularity only).
+  std::vector<LinkSeries> links_;
+  std::vector<SocketSeries> sockets_;
   sim::EventHandle timer_;
   bool running_ = false;
-  std::map<int32_t, double> prev_bytes_;
   sim::TimeNs last_sample_time_;
   uint64_t samples_taken_ = 0;
   int64_t bytes_reported_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/host/host_network.h"
 
 namespace mihn::anomaly {
@@ -220,6 +222,67 @@ TEST(HeartbeatTest, ReroutedPairRestartsBaselineInsteadOfAlarming) {
   EXPECT_TRUE(mesh.Alarms().empty());
   EXPECT_TRUE(mesh.alarm_log().empty());
   EXPECT_GT(mesh.probes_sent(), 0u);
+}
+
+// alarmed_count() is maintained incrementally; it must equal Alarms().size()
+// after every tick through raises, recovery clears, re-route clears, and a
+// baseline reset.
+TEST(HeartbeatTest, AlarmedCountTracksAlarmsEveryTick) {
+  sim::Simulation sim;
+  const DualPorted d = MakeDualPorted();
+  fabric::Fabric fabric(sim, d.topo);
+  HeartbeatMesh::Config config;
+  config.participants = {d.socket, d.nic};
+  config.period = TimeNs::Millis(1);
+  HeartbeatMesh mesh(fabric, config);
+  mesh.Start();
+
+  size_t max_alarmed = 0;
+  const auto run = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i) {
+      sim.RunFor(TimeNs::Millis(1));
+      ASSERT_EQ(mesh.alarmed_count(), mesh.Alarms().size()) << "at " << sim.Now().ToString();
+      max_alarmed = std::max(max_alarmed, mesh.alarmed_count());
+    }
+  };
+  const auto slow = [](int64_t us) { return fabric::LinkFault{1.0, TimeNs::Micros(us)}; };
+
+  run(20);  // Learn the fast-port baseline.
+  // Both ports degraded: the route stays on port 0, whose latency jumps.
+  fabric.InjectLinkFault(d.up1, slow(5));
+  fabric.InjectLinkFault(d.up0, slow(20));
+  run(10);
+  ASSERT_GT(mesh.alarmed_count(), 0u);
+  // Port 0 heals in place: recovery clears the alarms.
+  fabric.ClearLinkFault(d.up0);
+  run(20);
+  EXPECT_EQ(mesh.alarmed_count(), 0u);
+  const size_t recovered = mesh.alarm_log().size();
+  EXPECT_GT(recovered, 0u);
+  // Raise again, then heal port 1 instead: the pairs re-route to it, which
+  // closes their alarms.
+  fabric.InjectLinkFault(d.up0, slow(20));
+  run(10);
+  ASSERT_GT(mesh.alarmed_count(), 0u);
+  const uint64_t epoch = fabric.route_epoch();
+  fabric.ClearLinkFault(d.up1);
+  EXPECT_GT(fabric.route_epoch(), epoch);
+  run(1);
+  EXPECT_EQ(mesh.alarmed_count(), 0u);
+  // Back to port 0, degraded past the threshold again, then a reset.
+  fabric.ClearLinkFault(d.up0);
+  run(20);
+  fabric.InjectLinkFault(d.up1, slow(5));
+  fabric.InjectLinkFault(d.up0, slow(20));
+  run(10);
+  ASSERT_GT(mesh.alarmed_count(), 0u);
+  mesh.ResetBaselines();
+  EXPECT_EQ(mesh.alarmed_count(), 0u);
+  EXPECT_EQ(mesh.Alarms().size(), 0u);
+  run(20);
+
+  EXPECT_GE(max_alarmed, 2u);
+  EXPECT_GT(mesh.alarm_log().size(), recovered);
 }
 
 TEST(HeartbeatTest, AlarmLogRecordsRaiseAndClearEpisodes) {

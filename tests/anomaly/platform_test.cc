@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/anomaly/bank.h"
 #include "src/anomaly/misconfig.h"
 #include "src/anomaly/root_cause.h"
@@ -78,6 +83,144 @@ TEST(DetectorBankTest, ScanDoesNotReprocessOldPoints) {
   EXPECT_TRUE(bank.Scan(collector).empty());
   host.RunFor(TimeNs::Millis(3));
   EXPECT_EQ(bank.Scan(collector).size(), 3u);
+}
+
+// Records every observation and never fires.
+class Recorder : public Detector {
+ public:
+  explicit Recorder(std::vector<sim::TimePoint>* out) : out_(out) {}
+  std::optional<Anomaly> Observe(TimeNs at, double value) override {
+    out_->push_back(sim::TimePoint{at, value});
+    return std::nullopt;
+  }
+  std::string name() const override { return "recorder"; }
+  void Reset() override {}
+
+ private:
+  std::vector<sim::TimePoint>* out_;
+};
+
+void ExpectSamePoints(const std::vector<sim::TimePoint>& got,
+                      const std::vector<sim::TimePoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].value, want[i].value) << i;
+  }
+}
+
+TEST(DetectorBankTest, SeriesThatAppearsAfterSeveralScansIsPickedUp) {
+  sim::Simulation sim;
+  HostNetwork host(sim, Quiet());
+  const auto& server = host.server();
+  telemetry::Collector::Config tconfig;
+  tconfig.period = TimeNs::Millis(1);
+  telemetry::Collector collector(host.fabric(), tconfig);
+  collector.Start();
+
+  const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
+  const std::string key =
+      telemetry::Collector::TenantRateKey(path.hops[0].link, path.hops[0].forward, 7);
+  std::vector<sim::TimePoint> seen;
+  DetectorBank bank;
+  bank.Attach(key, std::make_unique<Recorder>(&seen));
+  for (int i = 0; i < 3; ++i) {
+    host.RunFor(TimeNs::Millis(2));
+    EXPECT_TRUE(bank.Scan(collector).empty());
+    EXPECT_EQ(collector.Series(key), nullptr);
+  }
+  EXPECT_TRUE(seen.empty());
+
+  workload::StreamSource::Config bulk;
+  bulk.src = server.ssds[0];
+  bulk.dst = server.dimms[0];
+  bulk.tenant = 7;
+  workload::StreamSource stream(host.fabric(), bulk);
+  stream.Start();
+  host.RunFor(TimeNs::Millis(4));
+  bank.Scan(collector);
+  host.RunFor(TimeNs::Millis(3));
+  bank.Scan(collector);
+  const sim::TimeSeries* series = collector.Series(key);
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->size(), 7u);
+  ExpectSamePoints(seen, series->Window(TimeNs::Zero()));
+}
+
+// One bank scanning two collectors in turn must behave exactly like a
+// per-scan key lookup: one last-seen time per attachment, shared across
+// collectors, and every point after it consumed from whichever collector
+// is scanned.
+TEST(DetectorBankTest, AlternatingCollectorsMatchPerScanLookup) {
+  sim::Simulation sim_a(1);
+  sim::Simulation sim_b(2);
+  HostNetwork a(sim_a, Quiet());
+  HostNetwork b(sim_b, Quiet());
+  telemetry::Collector::Config ca;
+  ca.period = TimeNs::Millis(1);
+  telemetry::Collector::Config cb;
+  cb.period = TimeNs::Micros(700);
+  telemetry::Collector collector_a(a.fabric(), ca);
+  telemetry::Collector collector_b(b.fabric(), cb);
+  collector_a.Start();
+  collector_b.Start();
+
+  const auto& server = a.server();
+  const auto path = *a.fabric().Route(server.ssds[0], server.dimms[0]);
+  const topology::DirectedLink hop = path.hops[0];
+  workload::StreamSource::Config bulk;
+  bulk.src = server.ssds[0];
+  bulk.dst = server.dimms[0];
+  bulk.tenant = 3;
+  bulk.demand = Bandwidth::GBps(4);
+  workload::StreamSource stream_a(a.fabric(), bulk);
+  stream_a.Start();
+  bulk.tenant = 9;  // Only in b: its key exists in one collector.
+  bulk.demand = Bandwidth::GBps(9);
+  workload::StreamSource stream_b(b.fabric(), bulk);
+  stream_b.Start();
+
+  const std::vector<std::string> keys = {
+      telemetry::Collector::LinkUtilKey(hop.link, hop.forward),
+      telemetry::Collector::TenantRateKey(hop.link, hop.forward, 9),
+      telemetry::Collector::TenantRateKey(hop.link, hop.forward, 3)};
+  std::vector<std::vector<sim::TimePoint>> seen(keys.size());
+  std::vector<std::vector<sim::TimePoint>> want(keys.size());
+  std::vector<TimeNs> last_seen(keys.size(), TimeNs::Nanos(-1));
+  DetectorBank bank;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    bank.Attach(keys[k], std::make_unique<Recorder>(&seen[k]));
+  }
+  const auto reference_scan = [&](const telemetry::Collector& c) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const sim::TimeSeries* series = c.Series(keys[k]);
+      if (series == nullptr) {
+        continue;
+      }
+      for (const sim::TimePoint& p : series->Window(last_seen[k] + TimeNs::Nanos(1))) {
+        last_seen[k] = p.time;
+        want[k].push_back(p);
+      }
+    }
+  };
+
+  // Clocks advance unevenly, so each collector is sometimes ahead of the
+  // other's last-seen time and sometimes behind it.
+  const int64_t steps_a[] = {3, 0, 2, 5, 1, 0, 4};
+  const int64_t steps_b[] = {1, 6, 0, 2, 3, 4, 1};
+  for (size_t round = 0; round < std::size(steps_a); ++round) {
+    sim_a.RunFor(TimeNs::Millis(steps_a[round]));
+    bank.Scan(collector_a);
+    reference_scan(collector_a);
+    sim_b.RunFor(TimeNs::Millis(steps_b[round]));
+    bank.Scan(collector_b);
+    reference_scan(collector_b);
+  }
+  for (size_t k = 0; k < keys.size(); ++k) {
+    SCOPED_TRACE(keys[k]);
+    EXPECT_FALSE(want[k].empty());
+    ExpectSamePoints(seen[k], want[k]);
+  }
 }
 
 TEST(RootCauseTest, QuietFabricHasNoCongestion) {

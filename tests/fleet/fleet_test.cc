@@ -423,6 +423,29 @@ TEST(FleetTest, ReportRendersAndWrites) {
   std::remove(path.c_str());
 }
 
+// TelemetryDigest() folds only the samples added since its last call; read
+// at any points in a run it must equal a one-shot hash of the whole
+// history, and the rendered report must carry that same digest.
+TEST(FleetTest, RunningDigestMatchesOneShotHashAtEveryRead) {
+  Fleet fleet(8);
+  CrossHostFlowSpec spec;
+  spec.src_host = 1;
+  spec.dst_host = 6;
+  fleet.StartCrossHostFlow(spec);
+  EXPECT_EQ(fleet.TelemetryDigest(), DigestSamples({}));
+  for (const int ticks : {1, 0, 3, 1, 5}) {
+    fleet.Run(ticks);
+    EXPECT_EQ(fleet.TelemetryDigest(), DigestSamples(fleet.samples()));
+    EXPECT_EQ(fleet.TelemetryDigest(), DigestSamples(fleet.samples()));  // Idempotent.
+  }
+  fleet.Run(2);  // Unread ticks: the report folds them.
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "\"%016llx\"",
+                static_cast<unsigned long long>(DigestSamples(fleet.samples())));
+  EXPECT_NE(fleet.RenderReport().find(hex), std::string::npos);
+  EXPECT_EQ(fleet.TelemetryDigest(), DigestSamples(fleet.samples()));
+}
+
 TEST(FleetTest, HostTemplateOptionsApply) {
   Fleet::Options options;
   options.host.preset = HostNetwork::Preset::kEdgeNode;

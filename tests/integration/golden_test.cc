@@ -2,9 +2,12 @@
 // determinism contract says must never move under a refactor or a
 // performance change — a churned multi-tenant fleet's digest, report,
 // root-cause view and link snapshots; a collector's full metric store;
-// and the policy_grid sweep report. The expectations were captured before
-// the telemetry read path moved off per-link tenant maps; a change that
-// alters any of these bytes is a behaviour change, not an optimisation.
+// a collector whose rings wrap; a detector bank's anomaly log; and the
+// policy_grid sweep report. The expectations were captured before the
+// telemetry read path moved off per-link tenant maps (fleet, collector,
+// sweep) and before the metric store moved to handle-indexed, on-demand
+// rings (wrapped collector, bank log); a change that alters any of these
+// bytes is a behaviour change, not an optimisation.
 //
 // Floating-point values are folded as hexfloats, so a pinned hash moves
 // on any bit-level change, not just on a printed-digit change.
@@ -17,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/anomaly/bank.h"
 #include "src/anomaly/root_cause.h"
 #include "src/chaos/sweep.h"
 #include "src/fleet/fleet.h"
@@ -232,9 +236,10 @@ TEST(GoldenTest, ChurnedMultiTenantFleetMatchesPinnedHashes) {
 // sharing links, a zero-demand flow (its tenant series must exist at rate
 // 0), packet traffic, a fault, and flows stopping mid-run. The hash covers
 // every series key and every retained point.
-TEST(GoldenTest, CollectorMetricStoreMatchesPinnedHash) {
+uint64_t RunGoldenCollector(size_t series_capacity, uint64_t* dropped_points) {
   HostNetwork::Options options;
   options.autostart = HostNetwork::Autostart::kCollectorOnly;
+  options.telemetry.series_capacity = series_capacity;
   sim::Simulation sim(17);
   HostNetwork host(sim, options);
   const topology::Server& server = host.server();
@@ -273,7 +278,7 @@ TEST(GoldenTest, CollectorMetricStoreMatchesPinnedHash) {
     sim.RunFor(TimeNs::Millis(1));
   }
   const telemetry::Collector& collector = host.collector();
-  ASSERT_GT(collector.series_count(), 0u);
+  EXPECT_GT(collector.series_count(), 0u);
   // Tenant 5's only flow runs at zero demand until 30 ms: its series exists.
   const topology::Path zero_path = *fabric.Route(server.nics[1 % server.nics.size()],
                                                  server.dimms[3 % server.dimms.size()]);
@@ -289,7 +294,107 @@ TEST(GoldenTest, CollectorMetricStoreMatchesPinnedHash) {
       fnv.Add(p.value);
     });
   }
-  EXPECT_EQ(Hex(fnv.value()), "0xd4d52908a689c6ca");
+  *dropped_points = collector.total_dropped_points();
+  return fnv.value();
+}
+
+TEST(GoldenTest, CollectorMetricStoreMatchesPinnedHash) {
+  uint64_t dropped = 0;
+  EXPECT_EQ(Hex(RunGoldenCollector(4096, &dropped)), "0xd4d52908a689c6ca");
+  EXPECT_EQ(dropped, 0u);
+}
+
+// The same run with 16-point rings: every series wraps (40 samples), so
+// the pinned hash covers eviction order and the dropped-point count.
+TEST(GoldenTest, WrappedCollectorRingsMatchPinnedHash) {
+  uint64_t dropped = 0;
+  Fnv fnv;
+  fnv.Add(static_cast<int64_t>(RunGoldenCollector(16, &dropped)));
+  fnv.Add(static_cast<int64_t>(dropped));
+  EXPECT_EQ(Hex(fnv.value()), "0xe246061e1bd2e619");
+  EXPECT_GT(dropped, 0u);
+}
+
+// A campaign-style detector bank (EWMA on every link-utilization series
+// and every socket cache-hit series) scanned every 700 us, off the
+// collector's 1 ms grid, over a host that takes a link fault, a demand
+// surge, a tenant that first appears mid-run, and a rebaseline. The hash
+// covers the whole anomaly log.
+TEST(GoldenTest, DetectorBankAnomalyLogMatchesPinnedHash) {
+  HostNetwork::Options options;
+  options.autostart = HostNetwork::Autostart::kCollectorOnly;
+  sim::Simulation sim(29);
+  HostNetwork host(sim, options);
+  const topology::Server& server = host.server();
+  fabric::Fabric& fabric = host.fabric();
+
+  anomaly::DetectorBank bank;
+  const topology::Topology& topo = host.topo();
+  for (topology::LinkId link = 0; link < static_cast<topology::LinkId>(topo.link_count());
+       ++link) {
+    for (const bool forward : {true, false}) {
+      bank.Attach(telemetry::Collector::LinkUtilKey(link, forward),
+                  std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
+    }
+  }
+  for (const topology::ComponentId socket : server.sockets) {
+    bank.Attach(telemetry::Collector::CacheHitKey(socket),
+                std::make_unique<anomaly::EwmaDetector>(0.25, 6.0, 8));
+  }
+
+  std::vector<fabric::FlowId> flows;
+  const auto start = [&](topology::ComponentId src, topology::ComponentId dst,
+                         fabric::TenantId tenant, double gbps, bool ddio) {
+    fabric::FlowSpec spec;
+    spec.path = *fabric.Route(src, dst);
+    spec.tenant = tenant;
+    spec.demand = Bandwidth::GBps(gbps);
+    spec.ddio_write = ddio;
+    flows.push_back(fabric.StartFlow(spec));
+  };
+  for (int k = 0; k < 6; ++k) {
+    const topology::ComponentId src =
+        k % 2 == 0 ? server.nics[static_cast<size_t>(k / 2) % server.nics.size()]
+                   : server.ssds[static_cast<size_t>(k / 2) % server.ssds.size()];
+    start(src, server.dimms[static_cast<size_t>(k) % server.dimms.size()],
+          static_cast<fabric::TenantId>(1 + k % 3), 3.0 + k, k % 2 == 0);
+  }
+
+  sim::EventHandle scan =
+      sim.SchedulePeriodic(TimeNs::Micros(700), [&] { bank.Scan(host.collector()); });
+  const topology::LinkId faulted = fabric.Route(server.nics[0], server.dimms[0])->hops[0].link;
+  for (int ms = 0; ms < 60; ++ms) {
+    if (ms == 15) {
+      fabric.InjectLinkFault(faulted, fabric::LinkFault{0.2, TimeNs::Micros(5)});
+    }
+    if (ms == 22) {
+      start(server.gpus[0], server.dimms[1 % server.dimms.size()], 8, 20.0, true);
+    }
+    if (ms == 30) {
+      fabric.SetFlowDemand(flows[1], Bandwidth::GBps(40));
+    }
+    if (ms == 38) {
+      fabric.ClearLinkFault(faulted);
+      bank.Rebaseline();
+    }
+    if (ms == 45) {
+      fabric.StopFlow(flows[2]);
+    }
+    sim.RunFor(TimeNs::Millis(1));
+  }
+  scan.Cancel();
+
+  ASSERT_FALSE(bank.log().empty());
+  Fnv fnv;
+  fnv.Add(static_cast<int64_t>(bank.log().size()));
+  for (const anomaly::Anomaly& a : bank.log()) {
+    fnv.Add(a.at.nanos());
+    fnv.Add(a.metric);
+    fnv.Add(a.value);
+    fnv.Add(a.score);
+    fnv.Add(a.detail);
+  }
+  EXPECT_EQ(Hex(fnv.value()), "0xbbe8f18bcbe39c4a");
 }
 
 TEST(GoldenTest, PolicyGridSweepReportMatchesPinnedHash) {

@@ -137,6 +137,58 @@ TEST(CollectorTest, FineModeHasPerTenantSeries) {
   EXPECT_NE(collector.Series(Collector::CacheHitKey(server.sockets[0])), nullptr);
 }
 
+// A tenant that first crosses a link after several samples gets its own
+// series from its first sample on, on every hop, without disturbing the
+// series of the tenant already there.
+TEST(CollectorTest, TenantFirstSeenAfterSeveralSamplesGetsItsOwnSeries) {
+  sim::Simulation sim;
+  HostNetwork host(sim, NoAutoStart());
+  const auto& server = host.server();
+  Collector::Config config;
+  config.period = TimeNs::Millis(1);
+  Collector collector(host.fabric(), config);
+  collector.Start();
+
+  workload::StreamSource::Config bulk;
+  bulk.src = server.ssds[0];
+  bulk.dst = server.dimms[0];
+  bulk.tenant = 1;
+  bulk.demand = Bandwidth::GBps(3);
+  workload::StreamSource first(host.fabric(), bulk);
+  first.Start();
+  host.RunFor(TimeNs::Millis(5));
+
+  const auto path = *host.fabric().Route(server.ssds[0], server.dimms[0]);
+  for (const topology::DirectedLink& hop : path.hops) {
+    EXPECT_EQ(collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 2)), nullptr);
+  }
+  bulk.tenant = 2;
+  bulk.demand = Bandwidth::GBps(6);
+  workload::StreamSource second(host.fabric(), bulk);
+  second.Start();
+  host.RunFor(TimeNs::Millis(4));
+
+  for (const topology::DirectedLink& hop : path.hops) {
+    const sim::TimeSeries* t1 =
+        collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 1));
+    const sim::TimeSeries* t2 =
+        collector.Series(Collector::TenantRateKey(hop.link, hop.forward, 2));
+    ASSERT_NE(t1, nullptr);
+    ASSERT_NE(t2, nullptr);
+    EXPECT_EQ(t1->size(), 9u);
+    ASSERT_EQ(t2->size(), 4u);
+    EXPECT_EQ(t2->Oldest().time, TimeNs::Millis(6));
+    double rate1 = -1.0;
+    double rate2 = -1.0;
+    for (const fabric::TenantCounter& tc : host.fabric().View(hop).tenants()) {
+      (tc.tenant == 1 ? rate1 : rate2) = tc.rate_bps;
+    }
+    EXPECT_EQ(t1->Latest().value, rate1);
+    EXPECT_EQ(t2->Latest().value, rate2);
+    EXPECT_GT(t2->Latest().value, 0.0);
+  }
+}
+
 TEST(CollectorTest, CoarseModeOmitsTenantsAndClampsPeriod) {
   sim::Simulation sim;
   HostNetwork host(sim, NoAutoStart());
