@@ -16,6 +16,11 @@
 // flows with per-tick demand churn — the top row is 4096 hosts x 256 flows
 // = 1,048,576 aggregate flows solved per tick.
 //
+// A third table prices the fabric's own bookkeeping on fleet-shaped hosts
+// (N fabrics x 128 flows on one clock, each host cold again by the time
+// its turn comes), through the public API: counter accrual per flow-hop,
+// and one recompute after a one-flow demand change.
+//
 // Emits machine-readable BENCH_fleet.json in the working directory so the
 // scaling trajectory is tracked across PRs.
 //
@@ -29,12 +34,14 @@
 //  * on machines with >= 6 cores, the pooled tick is not >= 3x faster than
 //    serial at >= 1024 hosts (the PR's perf acceptance gate).
 //
-// Flags: --smoke  (reduced grid + tick count for CI smoke jobs)
+// Flags: --smoke       (reduced grid + tick count for CI smoke jobs)
+//        --label NAME  (tags the fabric host-cost rows; default "current")
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -255,6 +262,67 @@ bool CheckSpeedupGate(const std::vector<Result>& results) {
   return ok;
 }
 
+// Fabric host cost at fleet shape: |hosts| fabrics with |flows_per_host|
+// continuous flows each (PlaceIntraFlows' pattern, no cross-host flows),
+// sharing one clock. Each round advances the clock, then visits every host
+// twice: a View() read on a settled fabric, which accrues every flow's
+// bytes over each of its hops, and a one-flow SetFlowDemand() followed by
+// a FlowRate() read, which runs one recompute (delta solve plus aggregate
+// rebuild). A host's state has gone cold by the time its turn comes again,
+// as between fleet ticks.
+struct HostCost {
+  int hosts = 0;
+  int flows_per_host = 0;
+  long long flow_hops = 0;  // Over all hosts.
+  int rounds = 0;
+  double accrue_ns_per_flow_hop = 0.0;
+  double recompute_ns = 0.0;  // Per host, per one-flow change.
+};
+
+HostCost MeasureHostCost(int hosts, int flows_per_host, int rounds) {
+  Fleet::Options options;
+  options.worker_threads = 0;
+  Fleet f(hosts, options);
+  const std::vector<fabric::FlowId> churn = PlaceIntraFlows(f, flows_per_host);
+  f.Tick();  // First solves: every solver primed and retained.
+  HostCost cost;
+  cost.hosts = hosts;
+  cost.flows_per_host = flows_per_host;
+  cost.rounds = rounds;
+  std::vector<topology::DirectedLink> probe(static_cast<size_t>(hosts));
+  for (int h = 0; h < hosts; ++h) {
+    fabric::Fabric& fabric = f.host(h).fabric();
+    for (const fabric::FlowId id : fabric.ActiveFlows()) {
+      cost.flow_hops += static_cast<long long>(fabric.GetFlowInfo(id)->path->hops.size());
+    }
+    probe[static_cast<size_t>(h)] =
+        fabric.GetFlowInfo(churn[static_cast<size_t>(h)])->path->hops.front();
+  }
+  double accrue_s = 0.0;
+  double recompute_s = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    f.simulation().RunFor(sim::TimeNs::Millis(1));
+    const double t0 = NowSec();
+    for (int h = 0; h < hosts; ++h) {
+      f.host(h).fabric().View(probe[static_cast<size_t>(h)]);
+    }
+    const double t1 = NowSec();
+    for (int h = 0; h < hosts; ++h) {
+      fabric::Fabric& fabric = f.host(h).fabric();
+      const fabric::FlowId id = churn[static_cast<size_t>(h)];
+      fabric.SetFlowDemand(id, sim::Bandwidth::Gbps(2 + (r + h) % 7));
+      fabric.FlowRate(id);
+    }
+    const double t2 = NowSec();
+    accrue_s += t1 - t0;
+    recompute_s += t2 - t1;
+  }
+  cost.accrue_ns_per_flow_hop =
+      accrue_s * 1e9 / (static_cast<double>(cost.flow_hops) * rounds);
+  cost.recompute_ns = recompute_s * 1e9 / (static_cast<double>(hosts) * rounds);
+  return cost;
+}
+
 }  // namespace
 }  // namespace mihn
 
@@ -262,11 +330,14 @@ int main(int argc, char** argv) {
   using namespace mihn;
 
   bool smoke = false;
+  std::string label = "current";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+      label = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--label NAME]\n", argv[0]);
       return 2;
     }
   }
@@ -317,6 +388,21 @@ int main(int argc, char** argv) {
                r.identical ? "yes" : "NO"});
   }
 
+  bench::Banner("fabric_host_cost",
+                "Fabric bookkeeping on fleet-shaped hosts (128 flows each, one clock, cold "
+                "between visits): accrual per flow-hop and one recompute per one-flow change");
+  bench::Table cost_table({{"hosts", 8},
+                           {"flows/host", 12},
+                           {"flow-hops", 11},
+                           {"rounds", 8},
+                           {"accrue ns/flow-hop", 20},
+                           {"recompute us", 14}});
+  const HostCost cost = MeasureHostCost(smoke ? 64 : 1024, 128, smoke ? 3 : 10);
+  cost_table.Row({std::to_string(cost.hosts), std::to_string(cost.flows_per_host),
+                  std::to_string(cost.flow_hops), std::to_string(cost.rounds),
+                  bench::Fmt("%.2f", cost.accrue_ns_per_flow_hop),
+                  bench::Fmt("%.2f", cost.recompute_ns / 1e3)});
+
   std::FILE* json = std::fopen("BENCH_fleet.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"bench\": \"fleet_scaling\",\n");
@@ -340,6 +426,13 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.digest), r.identical ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }
+    std::fprintf(json, "  ],\n  \"fabric_host_cost\": [\n");
+    std::fprintf(json,
+                 "    {\"label\": \"%s\", \"hosts\": %d, \"flows_per_host\": %d, "
+                 "\"flow_hops\": %lld, \"rounds\": %d, \"accrue_ns_per_flow_hop\": %.2f, "
+                 "\"recompute_ns\": %.0f}\n",
+                 label.c_str(), cost.hosts, cost.flows_per_host, cost.flow_hops, cost.rounds,
+                 cost.accrue_ns_per_flow_hop, cost.recompute_ns);
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_fleet.json\n");

@@ -44,7 +44,7 @@ void HeartbeatMesh::Tick() {
   }
   for (auto& [key, state] : pairs_) {
     fabric::PacketSpec probe;
-    probe.path = state.path;
+    probe.path = &state.path;
     probe.bytes = config_.probe_bytes;
     probe.klass = fabric::TrafficClass::kProbe;
     const sim::TimeNs latency = fabric_.SendPacket(std::move(probe));

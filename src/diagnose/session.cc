@@ -60,7 +60,7 @@ struct PingSeriesState {
 // follows — a self-referential std::function cycle would leak the closure).
 void FirePingProbe(fabric::Fabric& fabric, const std::shared_ptr<PingSeriesState>& state) {
   fabric::PacketSpec probe;
-  probe.path = state->path;
+  probe.path = &state->path;
   probe.bytes = state->probe_bytes;
   probe.klass = fabric::TrafficClass::kProbe;
   probe.on_delivered = [state, &fabric](sim::TimeNs latency) {

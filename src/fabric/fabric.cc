@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "src/core/check.h"
@@ -79,17 +80,11 @@ FlowId Fabric::StartFlow(FlowSpec spec) {
   if (spec.path.empty()) {
     return kInvalidFlow;
   }
-  const FlowId id = next_flow_id_++;
-  FlowState state;
-  state.id = id;
-  state.demand = std::min(spec.demand.bytes_per_sec(), kUnlimitedDemand);
-  state.start_time = sim_.Now();
-  state.spec = std::move(spec);
-  BindLinks(state);
-  if (state.spec.ddio_write) {
-    ++ddio_flow_count_;
-  }
-  flows_.emplace(id, std::move(state));
+  auto detail = std::make_unique<FlowDetail>();
+  detail->demand = std::min(spec.demand.bytes_per_sec(), kUnlimitedDemand);
+  detail->start_time = sim_.Now();
+  detail->spec = std::move(spec);
+  const FlowId id = flows_[AppendFlow(std::move(detail))].id;
   MarkFlowDirty(id);
   return id;
 }
@@ -107,41 +102,43 @@ FlowId Fabric::StartTransfer(TransferSpec spec) {
   if (id == kInvalidFlow) {
     return kInvalidFlow;
   }
-  FlowState& state = flows_.at(id);
+  FlowState& state = flows_.back();  // StartFlow just appended it.
   state.bytes_remaining = static_cast<double>(spec.bytes);
-  state.on_complete = std::move(spec.on_complete);
+  state.detail->on_complete = std::move(spec.on_complete);
   // The completion event is scheduled by the deferred Recompute() (which
   // already pends from StartFlow) once the transfer's rate is known.
   return id;
 }
 
 void Fabric::StopFlow(FlowId id) {
-  if (!flows_.contains(id)) {
+  FlowState* f = FindFlow(id);
+  if (f == nullptr) {
     return;
   }
-  AccrueCounters();
-  RemoveFlowInternal(id);
+  AccrueCounters();  // Moves bytes only; the row stays where it is.
+  ReleaseFlow(*f);
+  CompactFlows();
   MarkDirty();
 }
 
 void Fabric::SetFlowLimit(FlowId id, sim::Bandwidth limit) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  FlowState* f = FindFlow(id);
+  if (f == nullptr) {
     return;
   }
-  it->second.limit = limit.bytes_per_sec() < 0 ? 0.0
-                                               : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
+  f->detail->limit =
+      limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
   MarkFlowDirty(id);
 }
 
 void Fabric::SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwidth>>& limits) {
   uint64_t applied = 0;
   for (const auto& [id, limit] : limits) {
-    const auto it = flows_.find(id);
-    if (it == flows_.end()) {
+    FlowState* f = FindFlow(id);
+    if (f == nullptr) {
       continue;
     }
-    it->second.limit =
+    f->detail->limit =
         limit.bytes_per_sec() < 0 ? 0.0 : std::min(limit.bytes_per_sec(), kUnlimitedDemand);
     dirty_flows_.push_back(id);
     ++applied;
@@ -152,60 +149,60 @@ void Fabric::SetFlowLimitsBatch(const std::vector<std::pair<FlowId, sim::Bandwid
 }
 
 void Fabric::SetFlowWeight(FlowId id, double weight) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  FlowState* f = FindFlow(id);
+  if (f == nullptr) {
     return;
   }
-  it->second.spec.weight = std::max(weight, 1e-9);
+  f->detail->spec.weight = std::max(weight, 1e-9);
   MarkFlowDirty(id);
 }
 
 void Fabric::SetFlowDemand(FlowId id, sim::Bandwidth demand) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  FlowState* f = FindFlow(id);
+  if (f == nullptr) {
     return;
   }
-  it->second.demand = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
-  it->second.spec.demand = demand;
+  f->detail->demand = std::clamp(demand.bytes_per_sec(), 0.0, kUnlimitedDemand);
+  f->detail->spec.demand = demand;
   MarkFlowDirty(id);
 }
 
 std::optional<FlowInfo> Fabric::GetFlowInfo(FlowId id) {
   FlushIfDirty();
   AccrueCounters();
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
+  const FlowState* f = FindFlow(id);
+  if (f == nullptr) {
     return std::nullopt;
   }
-  const FlowState& f = it->second;
+  const FlowDetail& d = *f->detail;
   FlowInfo info;
-  info.id = f.id;
-  info.tenant = f.spec.tenant;
-  info.klass = f.spec.klass;
-  info.rate = sim::Bandwidth::BytesPerSec(f.rate);
-  info.demand = sim::Bandwidth::BytesPerSec(f.demand);
-  info.limit = sim::Bandwidth::BytesPerSec(f.limit);
-  info.weight = f.spec.weight;
-  info.bytes_moved = static_cast<int64_t>(f.bytes_moved);
+  info.id = f->id;
+  info.tenant = d.spec.tenant;
+  info.klass = f->klass;
+  info.rate = sim::Bandwidth::BytesPerSec(f->rate);
+  info.demand = sim::Bandwidth::BytesPerSec(d.demand);
+  info.limit = sim::Bandwidth::BytesPerSec(d.limit);
+  info.weight = d.spec.weight;
+  info.bytes_moved = static_cast<int64_t>(f->bytes_moved);
   info.bytes_remaining =
-      f.bytes_remaining < 0 ? -1 : static_cast<int64_t>(std::ceil(f.bytes_remaining));
-  info.start_time = f.start_time;
-  info.path = &f.spec.path;
+      f->bytes_remaining < 0 ? -1 : static_cast<int64_t>(std::ceil(f->bytes_remaining));
+  info.start_time = d.start_time;
+  info.path = &d.spec.path;
   return info;
 }
 
 sim::Bandwidth Fabric::FlowRate(FlowId id) const {
   FlushIfDirty();
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? sim::Bandwidth::Zero() : sim::Bandwidth::BytesPerSec(it->second.rate);
+  const FlowState* f = FindFlow(id);
+  return f == nullptr ? sim::Bandwidth::Zero() : sim::Bandwidth::BytesPerSec(f->rate);
 }
 
 std::vector<FlowId> Fabric::ActiveFlows() const {
   FlushIfDirty();  // Spill companions materialize at the solve.
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    ids.push_back(id);
+  for (const FlowState& f : flows_) {
+    ids.push_back(f.id);
   }
   return ids;
 }
@@ -216,9 +213,10 @@ size_t Fabric::active_flow_count() const {
 }
 
 sim::TimeNs Fabric::SendPacket(PacketSpec spec) {
+  MIHN_CHECK(spec.path != nullptr);
   FlushIfDirty();
-  sim::TimeNs latency = ProbePathLatency(spec.path);
-  for (const topology::DirectedLink& hop : spec.path.hops) {
+  sim::TimeNs latency = ProbePathLatency(*spec.path);
+  for (const topology::DirectedLink& hop : spec.path->hops) {
     const int32_t li = DirectedIndex(hop);
     DirectedLinkState& state = links_[static_cast<size_t>(li)];
     // Store-and-forward serialization on each hop.
@@ -334,13 +332,12 @@ double Fabric::Utilization(topology::DirectedLink dlink) const {
 
 SocketCacheStats Fabric::CacheStats(topology::ComponentId socket) const {
   FlushIfDirty();
-  const auto it = cache_stats_.find(socket);
-  if (it == cache_stats_.end()) {
-    SocketCacheStats stats;
-    stats.ddio_capacity_bytes = config_.DdioCapacityBytes();
-    return stats;
+  if (const SocketCacheStats* stats = FindCacheStats(socket)) {
+    return *stats;
   }
-  return it->second;
+  SocketCacheStats stats;
+  stats.ddio_capacity_bytes = config_.DdioCapacityBytes();
+  return stats;
 }
 
 // -- Internals ----------------------------------------------------------------
@@ -392,7 +389,7 @@ void Fabric::AccrueCounters() {
   if (dt <= 0.0) {
     return;
   }
-  for (auto& [id, f] : flows_) {
+  for (FlowState& f : flows_) {
     double bytes = f.rate * dt;
     if (f.bytes_remaining >= 0.0) {
       // Finite transfers never move more than they have left (the
@@ -404,13 +401,14 @@ void Fabric::AccrueCounters() {
       continue;
     }
     f.bytes_moved += bytes;
-    for (size_t h = 0; h < f.link_indices.size(); ++h) {
-      DirectedLinkState& state = links_[static_cast<size_t>(f.link_indices[h])];
+    const size_t klass = static_cast<size_t>(f.klass);
+    for (uint32_t h = f.hop_begin; h < f.hop_begin + f.hop_count; ++h) {
+      DirectedLinkState& state = links_[static_cast<size_t>(hop_links_[h])];
       state.bytes_total += bytes;
-      TenantCounter& tc = state.tenants[static_cast<size_t>(f.tenant_slots[h])];
+      TenantCounter& tc = state.tenants[static_cast<size_t>(hop_slots_[h])];
       tc.bytes += bytes;
       tc.bytes_present = true;
-      state.bytes_by_class[static_cast<size_t>(f.spec.klass)] += bytes;
+      state.bytes_by_class[klass] += bytes;
     }
   }
 }
@@ -428,18 +426,38 @@ int32_t Fabric::TenantSlot(int32_t link_index, TenantId tenant) {
   return static_cast<int32_t>(tenants.size() - 1);
 }
 
-void Fabric::BindLinks(FlowState& f) {
-  f.link_indices.reserve(f.spec.path.hops.size());
-  for (const topology::DirectedLink& hop : f.spec.path.hops) {
-    f.link_indices.push_back(DirectedIndex(hop));
+Fabric::FlowState* Fabric::FindFlow(FlowId id) {
+  return const_cast<FlowState*>(std::as_const(*this).FindFlow(id));
+}
+
+const Fabric::FlowState* Fabric::FindFlow(FlowId id) const {
+  const auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
+                                   [](const FlowState& f, FlowId v) { return f.id < v; });
+  return it != flows_.end() && it->id == id ? &*it : nullptr;
+}
+
+size_t Fabric::AppendFlow(std::unique_ptr<FlowDetail> detail) {
+  const size_t row = flows_.size();
+  FlowState& f = flows_.emplace_back();
+  f.id = next_flow_id_++;
+  f.klass = detail->spec.klass;
+  f.ddio_write = detail->spec.ddio_write;
+  if (f.ddio_write) {
+    ++ddio_flow_count_;
   }
-  std::sort(f.link_indices.begin(), f.link_indices.end());
-  f.link_indices.erase(std::unique(f.link_indices.begin(), f.link_indices.end()),
-                       f.link_indices.end());
-  f.tenant_slots.reserve(f.link_indices.size());
-  for (const int32_t li : f.link_indices) {
-    f.tenant_slots.push_back(TenantSlot(li, f.spec.tenant));
+  const auto begin = static_cast<std::ptrdiff_t>(hop_links_.size());
+  for (const topology::DirectedLink& hop : detail->spec.path.hops) {
+    hop_links_.push_back(DirectedIndex(hop));
   }
+  std::sort(hop_links_.begin() + begin, hop_links_.end());
+  hop_links_.erase(std::unique(hop_links_.begin() + begin, hop_links_.end()), hop_links_.end());
+  f.hop_begin = static_cast<uint32_t>(begin);
+  f.hop_count = static_cast<uint32_t>(hop_links_.size() - static_cast<size_t>(begin));
+  for (size_t h = static_cast<size_t>(begin); h < hop_links_.size(); ++h) {
+    hop_slots_.push_back(TenantSlot(hop_links_[h], detail->spec.tenant));
+  }
+  f.detail = std::move(detail);
+  return row;
 }
 
 topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId flow) {
@@ -451,24 +469,31 @@ topology::ComponentId Fabric::PickSpillDimm(topology::ComponentId socket, FlowId
 }
 
 void Fabric::UpdateCacheCoupling() {
-  // Group DDIO-eligible parents by destination socket.
-  std::map<topology::ComponentId, std::vector<FlowId>> by_socket;
-  for (auto& [id, f] : flows_) {
-    if (!f.spec.ddio_write || f.spill_parent != kInvalidFlow) {
+  // Group DDIO-eligible parents by destination socket: sorting (socket, row)
+  // pairs puts sockets in order and, rows being in id order, each socket's
+  // parents in id order.
+  ddio_parents_.clear();
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    const FlowState& f = flows_[i];
+    if (!f.ddio_write || f.spill_parent != kInvalidFlow) {
       continue;
     }
-    const topology::ComponentId dst = f.spec.path.destination();
+    const topology::ComponentId dst = f.detail->spec.path.destination();
     if (topo_.component(dst).kind != topology::ComponentKind::kCpuSocket) {
       continue;
     }
-    by_socket[dst].push_back(id);
+    ddio_parents_.emplace_back(dst, i);
   }
+  std::sort(ddio_parents_.begin(), ddio_parents_.end());
 
   cache_stats_.clear();
-  for (const auto& [socket, ids] : by_socket) {
+  for (size_t group = 0; group < ddio_parents_.size();) {
+    const topology::ComponentId socket = ddio_parents_[group].first;
+    size_t group_end = group;
     double io_rate = 0.0;
-    for (const FlowId id : ids) {
-      io_rate += flows_.at(id).solved_rate;
+    for (; group_end < ddio_parents_.size() && ddio_parents_[group_end].first == socket;
+         ++group_end) {
+      io_rate += flows_[ddio_parents_[group_end].second].solved_rate;
     }
     const double hit =
         config_.ddio_enabled
@@ -482,15 +507,17 @@ void Fabric::UpdateCacheCoupling() {
     stats.hit_rate = hit;
     stats.working_set_bytes = io_rate * config_.llc_drain_time.ToSecondsF();
     stats.ddio_capacity_bytes = config_.DdioCapacityBytes();
-    cache_stats_[socket] = stats;
+    cache_stats_.emplace_back(socket, stats);
 
-    for (const FlowId id : ids) {
-      FlowState& f = flows_.at(id);
-      f.miss_fraction = miss;
+    for (; group < group_end; ++group) {
+      // By index: appending a spill companion may move the rows.
+      const size_t row = ddio_parents_[group].second;
+      FlowState& f = flows_[row];
+      f.detail->miss_fraction = miss;
       const double desired_spill = f.solved_rate * miss;
       if (desired_spill > kSpillEpsBps) {
         if (f.spill_child == kInvalidFlow) {
-          const topology::ComponentId dimm = PickSpillDimm(socket, id);
+          const topology::ComponentId dimm = PickSpillDimm(socket, f.id);
           if (dimm == topology::kInvalidComponent) {
             continue;  // No memory behind this socket; spill unmodelled.
           }
@@ -498,29 +525,27 @@ void Fabric::UpdateCacheCoupling() {
           if (!spill_path) {
             continue;
           }
-          const FlowId child_id = next_flow_id_++;
-          FlowState child;
-          child.id = child_id;
-          child.spec.path = std::move(*spill_path);
-          child.spec.tenant = f.spec.tenant;  // Attribution: the tenant "causes" the spill.
-          child.spec.weight = f.spec.weight;
-          child.spec.klass = TrafficClass::kSpill;
-          child.demand = desired_spill;
-          child.spill_parent = id;
-          child.start_time = sim_.Now();
-          BindLinks(child);
-          flows_.emplace(child_id, std::move(child));
-          f.spill_child = child_id;
-          dirty_flows_.push_back(child_id);
+          auto child = std::make_unique<FlowDetail>();
+          child->spec.path = std::move(*spill_path);
+          child->spec.tenant = f.detail->spec.tenant;  // Attribution: the tenant "causes" the spill.
+          child->spec.weight = f.detail->spec.weight;
+          child->spec.klass = TrafficClass::kSpill;
+          child->demand = desired_spill;
+          child->start_time = sim_.Now();
+          const FlowId parent_id = f.id;
+          FlowState& spill = flows_[AppendFlow(std::move(child))];
+          spill.spill_parent = parent_id;
+          flows_[row].spill_child = spill.id;
+          dirty_flows_.push_back(spill.id);
         } else {
-          FlowState& spill = flows_.at(f.spill_child);
+          FlowDetail& spill = *FindFlow(f.spill_child)->detail;
           if (spill.demand != desired_spill) {  // mihn-check: float-eq-ok(pushed-state diff)
             spill.demand = desired_spill;
             dirty_flows_.push_back(f.spill_child);
           }
         }
       } else if (f.spill_child != kInvalidFlow) {
-        FlowState& spill = flows_.at(f.spill_child);
+        FlowDetail& spill = *FindFlow(f.spill_child)->detail;
         if (spill.demand != 0.0) {  // mihn-check: float-eq-ok(pushed-state diff)
           spill.demand = 0.0;
           dirty_flows_.push_back(f.spill_child);
@@ -564,19 +589,21 @@ void Fabric::SolveRates() {
     for (size_t i = 0; i < links_.size(); ++i) {
       solver_.SetCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
     }
-    // flows_ is an ordered map: AddFlow order (== rate vector order) is the
-    // deterministic id order. link_indices are pre-sorted and deduped, so the
-    // solver copies them without re-sorting; no allocation at steady state.
+    // The table is in id order, so AddFlow order (== rate vector order) is
+    // the deterministic id order. Hop ranges are pre-sorted and deduped, so
+    // the solver copies them without re-sorting; no allocation at steady
+    // state.
     int32_t slot = 0;
-    for (auto& [id, f] : flows_) {
-      const double eff = std::min({f.demand, f.limit, f.cache_cap});
-      solver_.AddFlow(f.spec.weight, eff, f.link_indices.data(), f.link_indices.size());
+    for (FlowState& f : flows_) {
+      FlowDetail& d = *f.detail;
+      const double eff = std::min({d.demand, d.limit, f.cache_cap});
+      solver_.AddFlow(d.spec.weight, eff, hop_links_.data() + f.hop_begin, f.hop_count);
       f.solver_slot = slot++;
-      f.pushed_weight = f.spec.weight;
-      f.pushed_demand = eff;
+      d.pushed_weight = d.spec.weight;
+      d.pushed_demand = eff;
     }
     const std::vector<double>& solved = solver_.Commit();
-    for (auto& [id, f] : flows_) {
+    for (FlowState& f : flows_) {
       f.solved_rate = solved[static_cast<size_t>(f.solver_slot)];
     }
     solver_retained_ = true;
@@ -592,31 +619,31 @@ void Fabric::SolveRates() {
     solver_.UpdateCapacity(static_cast<int32_t>(i), links_[i].effective_capacity);
   }
   for (const FlowId id : dirty_flows_) {
-    const auto it = flows_.find(id);
-    if (it == flows_.end()) {
+    FlowState* f = FindFlow(id);
+    if (f == nullptr) {
       continue;  // Removed after being dirtied; the solver saw the removal.
     }
-    FlowState& f = it->second;
-    const double eff = std::min({f.demand, f.limit, f.cache_cap});
-    if (f.solver_slot < 0) {
-      f.solver_slot =
-          solver_.AddFlowRetained(f.spec.weight, eff, f.link_indices.data(), f.link_indices.size());
-      f.pushed_weight = f.spec.weight;
-      f.pushed_demand = eff;
+    FlowDetail& d = *f->detail;
+    const double eff = std::min({d.demand, d.limit, f->cache_cap});
+    if (f->solver_slot < 0) {
+      f->solver_slot = solver_.AddFlowRetained(d.spec.weight, eff,
+                                               hop_links_.data() + f->hop_begin, f->hop_count);
+      d.pushed_weight = d.spec.weight;
+      d.pushed_demand = eff;
       continue;
     }
-    if (f.pushed_weight != f.spec.weight) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowWeight(f.solver_slot, f.spec.weight);
-      f.pushed_weight = f.spec.weight;
+    if (d.pushed_weight != d.spec.weight) {  // mihn-check: float-eq-ok(pushed-state diff)
+      solver_.UpdateFlowWeight(f->solver_slot, d.spec.weight);
+      d.pushed_weight = d.spec.weight;
     }
-    if (f.pushed_demand != eff) {  // mihn-check: float-eq-ok(pushed-state diff)
-      solver_.UpdateFlowDemand(f.solver_slot, eff);
-      f.pushed_demand = eff;
+    if (d.pushed_demand != eff) {  // mihn-check: float-eq-ok(pushed-state diff)
+      solver_.UpdateFlowDemand(f->solver_slot, eff);
+      d.pushed_demand = eff;
     }
   }
   dirty_flows_.clear();
   const std::vector<double>& solved = solver_.SolveDelta();
-  for (auto& [id, f] : flows_) {
+  for (FlowState& f : flows_) {
     f.solved_rate = solved[static_cast<size_t>(f.solver_slot)];
   }
 }
@@ -639,10 +666,10 @@ void Fabric::Recompute() {
     // Round 1: potential rates with the cache throttle lifted. These set
     // each DDIO flow's desired spill (what it *would* push to memory). Only
     // flows actually capped last round change — and only they get dirtied.
-    for (auto& [id, f] : flows_) {
+    for (FlowState& f : flows_) {
       if (f.cache_cap != kUnlimitedDemand) {  // mihn-check: float-eq-ok(unlimited sentinel)
         f.cache_cap = kUnlimitedDemand;
-        dirty_flows_.push_back(id);
+        dirty_flows_.push_back(f.id);
       }
     }
     SolveRates();
@@ -661,15 +688,15 @@ void Fabric::Recompute() {
     // fixed point) keeps the result stable and deterministic. Skipped when
     // no spill child was capped.
     bool any_cap = false;
-    for (auto& [id, f] : flows_) {
-      if (f.spill_child == kInvalidFlow || f.miss_fraction <= 1e-9) {
+    for (FlowState& f : flows_) {
+      if (f.spill_child == kInvalidFlow || f.detail->miss_fraction <= 1e-9) {
         continue;
       }
-      const FlowState& child = flows_.at(f.spill_child);
+      const FlowState& child = *FindFlow(f.spill_child);
       const double achieved = child.solved_rate;
-      if (achieved < child.demand * (1.0 - 1e-6)) {
-        f.cache_cap = achieved / f.miss_fraction;
-        dirty_flows_.push_back(id);
+      if (achieved < child.detail->demand * (1.0 - 1e-6)) {
+        f.cache_cap = achieved / f.detail->miss_fraction;
+        dirty_flows_.push_back(f.id);
         any_cap = true;
       }
     }
@@ -688,23 +715,23 @@ void Fabric::Recompute() {
     }
     state.rate_by_class.fill(0.0);
   }
-  for (auto& [id, f] : flows_) {
+  for (FlowState& f : flows_) {
     f.rate = f.solved_rate;
-    for (size_t h = 0; h < f.link_indices.size(); ++h) {
-      DirectedLinkState& state = links_[static_cast<size_t>(f.link_indices[h])];
+    const size_t klass = static_cast<size_t>(f.klass);
+    for (uint32_t h = f.hop_begin; h < f.hop_begin + f.hop_count; ++h) {
+      DirectedLinkState& state = links_[static_cast<size_t>(hop_links_[h])];
       state.rate += f.rate;
-      TenantCounter& tc = state.tenants[static_cast<size_t>(f.tenant_slots[h])];
+      TenantCounter& tc = state.tenants[static_cast<size_t>(hop_slots_[h])];
       tc.rate_bps += f.rate;
       tc.rate_present = true;
-      state.rate_by_class[static_cast<size_t>(f.spec.klass)] += f.rate;
+      state.rate_by_class[klass] += f.rate;
     }
     // Record achieved spill in the socket stats.
     if (f.spill_parent != kInvalidFlow) {
-      const FlowState& parent = flows_.at(f.spill_parent);
-      const topology::ComponentId socket = parent.spec.path.destination();
-      const auto sit = cache_stats_.find(socket);
-      if (sit != cache_stats_.end()) {
-        sit->second.spill_rate_bps += f.rate;
+      const topology::ComponentId socket =
+          FindFlow(f.spill_parent)->detail->spec.path.destination();
+      if (SocketCacheStats* stats = FindCacheStats(socket)) {
+        stats->spill_rate_bps += f.rate;
       }
     }
   }
@@ -756,26 +783,48 @@ void Fabric::CheckInvariants() const {
   MIHN_CHECK(!dirty_);
   MIHN_CHECK(!in_recompute_);
 
+  // Table order: ids strictly ascending, hop ranges back to back in row
+  // order and covering both hop arrays exactly.
+  MIHN_CHECK(hop_links_.size() == hop_slots_.size());
+  size_t next_hop = 0;
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    const FlowState& f = flows_[i];
+    MIHN_CHECK(i == 0 || flows_[i - 1].id < f.id);
+    MIHN_CHECK(f.id < next_flow_id_);
+    MIHN_CHECK(!f.released);
+    MIHN_CHECK(f.detail != nullptr);
+    MIHN_CHECK(f.klass == f.detail->spec.klass);
+    MIHN_CHECK(f.ddio_write == f.detail->spec.ddio_write);
+    MIHN_CHECK(f.hop_begin == next_hop);
+    MIHN_CHECK(f.hop_count > 0);
+    for (uint32_t h = f.hop_begin + 1; h < f.hop_begin + f.hop_count; ++h) {
+      MIHN_CHECK(hop_links_[h - 1] < hop_links_[h]);  // Sorted and deduped.
+    }
+    next_hop += f.hop_count;
+  }
+  MIHN_CHECK(next_hop == hop_links_.size());
+
   // Per-link conservation, recomputed independently from flow state.
   std::vector<double> link_sums(links_.size(), 0.0);
-  for (const auto& [id, f] : flows_) {
+  for (const FlowState& f : flows_) {
+    const FlowDetail& d = *f.detail;
     MIHN_CHECK(f.rate >= 0.0);
     MIHN_CHECK(f.bytes_moved >= 0.0);
     if (solver_retained_) {
       // The retained mirror must be exact: a drifted pushed value means a
       // mutation bypassed MarkFlowDirty and the solver solved stale inputs.
       MIHN_CHECK(f.solver_slot >= 0);
-      MIHN_CHECK(f.pushed_weight == f.spec.weight);  // mihn-check: float-eq-ok(mirror exactness)
-      MIHN_CHECK(f.pushed_demand ==  // mihn-check: float-eq-ok(mirror exactness)
-                 std::min({f.demand, f.limit, f.cache_cap}));
+      MIHN_CHECK(d.pushed_weight == d.spec.weight);  // mihn-check: float-eq-ok(mirror exactness)
+      MIHN_CHECK(d.pushed_demand ==  // mihn-check: float-eq-ok(mirror exactness)
+                 std::min({d.demand, d.limit, f.cache_cap}));
     }
     if (f.spill_child != kInvalidFlow) {
-      const auto child = flows_.find(f.spill_child);
-      MIHN_CHECK(child != flows_.end());
-      MIHN_CHECK(child->second.spill_parent == id);
+      const FlowState* child = FindFlow(f.spill_child);
+      MIHN_CHECK(child != nullptr);
+      MIHN_CHECK(child->spill_parent == f.id);
     }
-    for (const int32_t li : f.link_indices) {
-      link_sums[static_cast<size_t>(li)] += f.rate;
+    for (uint32_t h = f.hop_begin; h < f.hop_begin + f.hop_count; ++h) {
+      link_sums[static_cast<size_t>(hop_links_[h])] += f.rate;
     }
   }
   for (size_t i = 0; i < links_.size(); ++i) {
@@ -808,7 +857,7 @@ void Fabric::RescheduleCompletion() {
     completion_event_.Cancel();
   }
   double min_secs = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : flows_) {
+  for (const FlowState& f : flows_) {
     if (f.bytes_remaining >= 0.0 && f.rate > 0.0) {
       min_secs = std::min(min_secs, f.bytes_remaining / f.rate);
     }
@@ -833,28 +882,30 @@ void Fabric::OnCompletionEvent() {
   // check and delivery latencies see current rates.
   FlushIfDirty();
   AccrueCounters();
-  std::vector<FlowId> done;
-  for (const auto& [id, f] : flows_) {
-    if (f.bytes_remaining >= 0.0 && f.bytes_remaining <= kDoneBytes) {
-      done.push_back(id);
+  // One pass in id order: deliver and release every drained transfer, then
+  // compact the table once for the whole batch.
+  uint64_t done = 0;
+  for (FlowState& f : flows_) {
+    if (f.released || f.bytes_remaining < 0.0 || f.bytes_remaining > kDoneBytes) {
+      continue;
     }
-  }
-  for (const FlowId id : done) {
-    FlowState& f = flows_.at(id);
-    if (f.on_complete) {
+    FlowDetail& d = *f.detail;
+    if (d.on_complete) {
       TransferResult result;
-      result.id = id;
-      result.start = f.start_time;
+      result.id = f.id;
+      result.start = d.start_time;
       // Delivery: fluid drain time plus one traversal of (congested) path
       // latency and any interrupt-moderation delay.
-      result.end = sim_.Now() + ProbePathLatency(f.spec.path) + config_.interrupt_moderation;
+      result.end = sim_.Now() + ProbePathLatency(d.spec.path) + config_.interrupt_moderation;
       result.bytes = static_cast<int64_t>(std::llround(f.bytes_moved));
-      sim_.ScheduleAt(result.end, [cb = std::move(f.on_complete), result] { cb(result); });
+      sim_.ScheduleAt(result.end, [cb = std::move(d.on_complete), result] { cb(result); });
     }
-    RemoveFlowInternal(id);
+    ReleaseFlow(f);
+    ++done;
   }
-  if (!done.empty()) {
-    MarkDirty(done.size());
+  if (done > 0) {
+    CompactFlows();
+    MarkDirty(done);
   } else {
     // Spurious wake (rates changed since this event was armed): re-arm from
     // the current — already settled — rates.
@@ -862,32 +913,72 @@ void Fabric::OnCompletionEvent() {
   }
 }
 
-void Fabric::RemoveFlowInternal(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) {
-    return;
-  }
-  const FlowId child = it->second.spill_child;
-  const FlowId parent = it->second.spill_parent;
-  if (it->second.spec.ddio_write && ddio_flow_count_ > 0) {
+void Fabric::ReleaseFlow(FlowState& f) {
+  f.released = true;
+  if (f.ddio_write && ddio_flow_count_ > 0) {
     --ddio_flow_count_;
   }
-  if (solver_retained_ && it->second.solver_slot >= 0) {
-    solver_.RemoveFlowRetained(it->second.solver_slot);
+  if (solver_retained_ && f.solver_slot >= 0) {
+    solver_.RemoveFlowRetained(f.solver_slot);
     ++tombstoned_slots_;
   }
-  flows_.erase(it);
-  if (child != kInvalidFlow) {
-    RemoveFlowInternal(child);
-  }
-  if (parent != kInvalidFlow) {
-    const auto pit = flows_.find(parent);
-    if (pit != flows_.end()) {
-      pit->second.spill_child = kInvalidFlow;
-      pit->second.cache_cap = kUnlimitedDemand;
-      dirty_flows_.push_back(parent);  // Effective demand just changed.
+  if (f.spill_child != kInvalidFlow) {
+    FlowState* child = FindFlow(f.spill_child);
+    if (child != nullptr && !child->released) {
+      ReleaseFlow(*child);
     }
   }
+  if (f.spill_parent != kInvalidFlow) {
+    FlowState* parent = FindFlow(f.spill_parent);
+    if (parent != nullptr && !parent->released) {
+      parent->spill_child = kInvalidFlow;
+      parent->cache_cap = kUnlimitedDemand;
+      dirty_flows_.push_back(parent->id);  // Effective demand just changed.
+    }
+  }
+}
+
+void Fabric::CompactFlows() {
+  // Stable: kept rows and their hop ranges slide down in order, so the
+  // table stays in id order and the hop arrays stay in table order.
+  size_t kept = 0;
+  uint32_t next_hop = 0;
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    FlowState& f = flows_[i];
+    if (f.released) {
+      continue;
+    }
+    if (f.hop_begin != next_hop) {
+      const auto from = static_cast<std::ptrdiff_t>(f.hop_begin);
+      const auto count = static_cast<std::ptrdiff_t>(f.hop_count);
+      std::copy(hop_links_.begin() + from, hop_links_.begin() + from + count,
+                hop_links_.begin() + next_hop);
+      std::copy(hop_slots_.begin() + from, hop_slots_.begin() + from + count,
+                hop_slots_.begin() + next_hop);
+      f.hop_begin = next_hop;
+    }
+    next_hop += f.hop_count;
+    if (kept != i) {
+      flows_[kept] = std::move(f);
+    }
+    ++kept;
+  }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept), flows_.end());
+  hop_links_.resize(next_hop);
+  hop_slots_.resize(next_hop);
+}
+
+SocketCacheStats* Fabric::FindCacheStats(topology::ComponentId socket) {
+  return const_cast<SocketCacheStats*>(std::as_const(*this).FindCacheStats(socket));
+}
+
+const SocketCacheStats* Fabric::FindCacheStats(topology::ComponentId socket) const {
+  for (const auto& [id, stats] : cache_stats_) {
+    if (id == socket) {
+      return &stats;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace mihn::fabric

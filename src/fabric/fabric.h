@@ -24,9 +24,12 @@
 #define MIHN_SRC_FABRIC_FABRIC_H_
 
 #include <array>
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/fabric/cache_model.h"
@@ -244,8 +247,10 @@ class Fabric {
   // settle concurrently as long as each gets its own buffer and the buffers
   // are replayed serially afterwards (strict host order reproduces the
   // serial pass's event sequence byte-for-byte; see sim/staged_events.h).
-  // The caller must ApplyTo() the buffer before the next mutation, read, or
-  // clock advance touches this fabric. No-op when nothing is dirty.
+  // The caller must ApplyTo() the buffer before the next mutation or clock
+  // advance touches this fabric. Reads of the settled state (views, rates,
+  // flow counts) may come first: with nothing dirty they solve nothing and
+  // never touch the queue. No-op when nothing is dirty.
   void SettleStaged(sim::StagedEvents& staging);
 
   // -- Tracing -------------------------------------------------------------------
@@ -275,40 +280,54 @@ class Fabric {
   // Debug invariant pass over the solved state: per-link conservation
   // (Σ flow rates on a link equals the link's aggregate and stays within
   // effective capacity, modulo float tolerance), non-negative rates and
-  // counters, spill parent/child symmetry, and dirty-flag/recompute-count
-  // consistency. Aborts via MIHN_CHECK on the first violation. A no-op
-  // unless built with -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case
-  // Recompute() runs it after every solve, so the existing fabric/sim test
-  // suites exercise it end to end.
+  // counters, spill parent/child symmetry, flow-table order (ids strictly
+  // ascending, hop ranges contiguous in table order), and dirty-flag/
+  // recompute-count consistency. Aborts via MIHN_CHECK on the first
+  // violation. A no-op unless built with -DMIHN_ENABLE_INVARIANT_CHECKS=ON,
+  // in which case Recompute() runs it after every solve, so the existing
+  // fabric/sim test suites exercise it end to end.
   void CheckInvariants() const;
 
  private:
-  struct FlowState {
-    FlowId id = kInvalidFlow;
+  // The cold part of a flow, at an address that stays put for the flow's
+  // lifetime (FlowInfo::path points into it). Only per-flow work reads it:
+  // creation, a mutator or a dirty-flow solve diff, a full solver re-prime,
+  // delivery, and DDIO parents in the cache-coupling rounds.
+  struct FlowDetail {
     FlowSpec spec;
-    double demand = 0.0;     // bytes/s (after spec.demand).
-    double limit = kUnlimitedDemand;
-    double cache_cap = kUnlimitedDemand;  // Miss-drain throttle from the LLC model.
-    double miss_fraction = 0.0;           // 1 - hit rate of this flow's socket.
-    double rate = 0.0;
-    double bytes_remaining = -1.0;  // < 0: continuous.
-    double bytes_moved = 0.0;
-    sim::TimeNs start_time;
     std::function<void(const TransferResult&)> on_complete;
-    FlowId spill_child = kInvalidFlow;
-    FlowId spill_parent = kInvalidFlow;
-    std::vector<int32_t> link_indices;  // DirectedIndex per hop (deduped).
-    // Per hop, parallel to link_indices: this flow's tenant entry in that
-    // link's LinkCounters::tenants (entries are append-only, so it stays put).
-    std::vector<int32_t> tenant_slots;
-    double solved_rate = 0.0;           // Scratch: last SolveRates() output.
-    // Retained-solver mirror: the slot this flow occupies in the solver's
-    // rate vector, and the weight/effective-demand values last pushed to it.
-    // The diff in SolveRates() compares against these so an untouched flow
-    // costs nothing per solve.
-    int32_t solver_slot = -1;
+    sim::TimeNs start_time;
+    double demand = 0.0;  // bytes/s (after spec.demand).
+    double limit = kUnlimitedDemand;
+    double miss_fraction = 0.0;  // 1 - hit rate of this flow's socket.
+    // Retained-solver mirror: the weight/effective-demand values last
+    // pushed to the flow's solver slot. The diff in SolveRates() compares
+    // against these so an untouched flow costs nothing per solve.
     double pushed_weight = 0.0;
     double pushed_demand = -1.0;
+  };
+
+  // One row of the flow table: the fields every per-flow sweep reads
+  // (accrual, the solved-rate copy, the aggregate rebuild, completion
+  // rescheduling, the done scan, the DDIO rounds).
+  struct FlowState {
+    FlowId id = kInvalidFlow;
+    double rate = 0.0;
+    double solved_rate = 0.0;       // Scratch: last SolveRates() output.
+    double bytes_remaining = -1.0;  // < 0: continuous.
+    double bytes_moved = 0.0;
+    double cache_cap = kUnlimitedDemand;  // Miss-drain throttle from the LLC model.
+    FlowId spill_child = kInvalidFlow;
+    FlowId spill_parent = kInvalidFlow;
+    int32_t solver_slot = -1;  // This flow's slot in the retained solver.
+    // This flow's hops: [hop_begin, hop_begin + hop_count) of hop_links_
+    // and hop_slots_.
+    uint32_t hop_begin = 0;
+    uint32_t hop_count = 0;
+    TrafficClass klass = TrafficClass::kData;  // == detail->spec.klass.
+    bool ddio_write = false;                   // == detail->spec.ddio_write.
+    bool released = false;  // Removed; CompactFlows() drops the row.
+    std::unique_ptr<FlowDetail> detail;
   };
 
   struct DirectedLinkState : LinkCounters {
@@ -323,9 +342,15 @@ class Fabric {
   // fresh (flag-less) entry the first time the tenant shows up there.
   int32_t TenantSlot(int32_t link_index, TenantId tenant);
 
-  // Sorts, dedupes and stores the hops of |f|'s path and caches its tenant
-  // entry on each (creating entries as needed).
-  void BindLinks(FlowState& f);
+  // The row of |id| in flows_ (binary search), or null.
+  FlowState* FindFlow(FlowId id);
+  const FlowState* FindFlow(FlowId id) const;
+
+  // Appends a row for a new flow with the next id, plus its hops: the
+  // path's directed links sorted and deduped, each with this flow's tenant
+  // entry on that link (created as needed). Counts a DDIO write in
+  // ddio_flow_count_. Returns the row's index.
+  size_t AppendFlow(std::unique_ptr<FlowDetail> detail);
 
   // Moves fluid bytes for the interval since the last accrual into the
   // per-link and per-flow counters. Must be called before any rate change.
@@ -364,7 +389,18 @@ class Fabric {
 
   void RescheduleCompletion();
   void OnCompletionEvent();
-  void RemoveFlowInternal(FlowId id);
+
+  // Undoes AppendFlow's bookkeeping for |f| and its spill companion
+  // (solver slot, DDIO count) and unlinks |f| from its spill parent,
+  // marking the rows released. CompactFlows() then drops
+  // every released row and its hops in one stable pass, so a batch of
+  // removals costs one compaction.
+  void ReleaseFlow(FlowState& f);
+  void CompactFlows();
+
+  // cache_stats_'s entry for |socket|, or null.
+  SocketCacheStats* FindCacheStats(topology::ComponentId socket);
+  const SocketCacheStats* FindCacheStats(topology::ComponentId socket) const;
 
   bool IsPcieKind(topology::LinkKind kind) const;
   sim::TimeNs HopBaseLatency(topology::DirectedLink hop) const;
@@ -382,7 +418,19 @@ class Fabric {
   FabricConfig config_;
 
   std::vector<DirectedLinkState> links_;  // Indexed by DirectedIndex.
-  std::map<FlowId, FlowState> flows_;    // Ordered: deterministic iteration.
+  // The flow table, in ascending FlowId order. Ids only grow (spill
+  // companions draw from the same counter), so appending keeps the order
+  // and lookups binary-search. Every per-flow sweep therefore runs in id
+  // order: the order the solver adds flows in and every per-link sum is
+  // taken in, which keeps rates and counters deterministic.
+  std::vector<FlowState> flows_;
+  // Every flow's hops, contiguous and in table order (CSR): a row's range
+  // in hop_links_ holds its DirectedIndex values, sorted and deduped (the
+  // solver reads them in place), and the same range in hop_slots_ its
+  // tenant entry in each of those links' LinkCounters::tenants (entries
+  // are append-only, so a cached index stays valid).
+  std::vector<int32_t> hop_links_;
+  std::vector<int32_t> hop_slots_;
   FlowId next_flow_id_ = 1;
   sim::TimeNs last_accrual_;
   sim::EventHandle completion_event_;
@@ -392,8 +440,13 @@ class Fabric {
   // Ordered maps: fault and DIMM state feed snapshots, telemetry, and spill
   // placement, so iteration order must be the key order, never hash order.
   std::map<topology::LinkId, LinkFault> faults_;
-  std::map<topology::ComponentId, SocketCacheStats> cache_stats_;
   std::map<topology::ComponentId, std::vector<topology::ComponentId>> socket_dimms_;
+  // Sockets with DDIO writers in the last solve, in socket order; cleared
+  // and refilled per solve, so its capacity carries over.
+  std::vector<std::pair<topology::ComponentId, SocketCacheStats>> cache_stats_;
+  // UpdateCacheCoupling() scratch: (destination socket, row) per DDIO
+  // parent, sorted so parents group by socket in id order.
+  std::vector<std::pair<topology::ComponentId, size_t>> ddio_parents_;
   MaxMinSolver solver_;  // Persistent workspace: no allocation at steady state.
   // Retained-solver bookkeeping. dirty_flows_ is the worklist of flows whose
   // weight or effective demand may have moved since the last solve

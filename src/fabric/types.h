@@ -78,7 +78,9 @@ struct TransferSpec {
 // claim fluid bandwidth: they see the current per-hop congestion latency
 // plus store-and-forward serialization, and are counted in link telemetry.
 struct PacketSpec {
-  topology::Path path;
+  // Borrowed, never null: SendPacket() reads the path only during the
+  // call, so a sender passes the route it already holds instead of a copy.
+  const topology::Path* path = nullptr;
   int64_t bytes = 64;
   TenantId tenant = kNoTenant;
   TrafficClass klass = TrafficClass::kProbe;

@@ -180,6 +180,10 @@ void Fleet::SettleHosts() {
       hosts_[h]->fabric().SettleStaged(stagings_[h]);
     }
   });
+  ApplyStagings();
+}
+
+void Fleet::ApplyStagings() {
   // Replay the buffered queue operations serially in strict host order:
   // cancel-then-schedule per host is the exact interleaving the serial
   // direct path produces, so event sequence numbers — and event-pool slot
@@ -216,19 +220,22 @@ HostSample Fleet::ReduceHost(int i) {
   return sample;
 }
 
-FleetSample Fleet::AggregateSample() {
+FleetSample Fleet::SettleAndSample() {
   FleetSample sample;
   sample.at = sim_.Now();
   sample.hosts.resize(hosts_.size());
-  // Every fabric was settled in SettleHosts(), so the per-host reduction is
-  // pure host-local reads + counter accrual: embarrassingly parallel on the
-  // persistent pool, with each worker writing a disjoint slice of
-  // sample.hosts.
+  // One pass per host: settle into the host's staging buffer, then reduce.
+  // The reduction is pure host-local reads + counter accrual against the
+  // clock — it never touches the event queue — so it runs before the
+  // replay, on the same pool round, with each worker writing a disjoint
+  // slice of sample.hosts.
   ForEachHost([this, &sample](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
+      hosts_[i]->fabric().SettleStaged(stagings_[i]);
       sample.hosts[i] = ReduceHost(static_cast<int>(i));
     }
   });
+  ApplyStagings();
   // Merge strictly in host order: the fleet totals (and the digest built
   // over them) never depend on which worker finished first.
   for (const HostSample& h : sample.hosts) {
@@ -257,8 +264,7 @@ const FleetSample& Fleet::Tick() {
   SettleHosts();
   sim_.RunFor(options_.tick_period);
   CoupleCrossHostFlows();
-  SettleHosts();
-  samples_.push_back(AggregateSample());
+  samples_.push_back(SettleAndSample());
   return samples_.back();
 }
 

@@ -154,8 +154,9 @@ class Fleet {
 
   // -- Time --------------------------------------------------------------------
   // One fleet tick: settle pending mutations (in parallel, staged), advance
-  // the shared clock by tick_period, re-couple cross-host flows, settle
-  // again, aggregate one FleetSample. Returns the new sample.
+  // the shared clock by tick_period, re-couple cross-host flows, then settle
+  // and reduce every host in one pass and aggregate one FleetSample.
+  // Returns the new sample.
   const FleetSample& Tick();
   void Run(int ticks);
 
@@ -195,11 +196,16 @@ class Fleet {
   // shared clock serially in strict host order — the exact event sequence
   // (and event-pool slot reuse) of a serial pass.
   void SettleHosts();
+  // Applies every host's staging buffer to the shared clock, in host order.
+  void ApplyStagings();
   // Runs body(begin, end) over contiguous host-order chunks of [0, N) on
   // the pool, or inline when the fleet is serial. |body| must be parallel-
   // safe on disjoint host ranges.
   void ForEachHost(const std::function<void(size_t, size_t)>& body);
-  FleetSample AggregateSample();
+  // The tick's last pass: each host settles (staged) and is reduced in the
+  // same pool round; the stagings are replayed afterwards, in host order,
+  // before the fleet totals and the inter-host snapshot.
+  FleetSample SettleAndSample();
   HostSample ReduceHost(int i);
 
   Options options_;

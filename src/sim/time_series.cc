@@ -52,7 +52,7 @@ RunningStats TimeSeries::StatsSince(TimeNs since) const {
 }
 
 double TimeSeries::MeanOfLast(size_t n) const {
-  if (empty()) {
+  if (empty() || n == 0) {
     return 0.0;
   }
   const size_t take = std::min(n, size());

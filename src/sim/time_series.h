@@ -76,7 +76,8 @@ class TimeSeries {
   // Statistics over points with time >= since.
   RunningStats StatsSince(TimeNs since) const;
 
-  // Mean over the last |n| points (all points if fewer).
+  // Mean over the last |n| points (all points if fewer); 0 when the series
+  // is empty or |n| is 0.
   double MeanOfLast(size_t n) const;
 
   // Copies points with time >= since, oldest first.

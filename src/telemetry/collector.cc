@@ -139,7 +139,7 @@ void Collector::SampleOnce() {
       const int64_t bytes =
           static_cast<int64_t>(last_tick_metrics_) * config_.bytes_per_sample;
       fabric::PacketSpec pkt;
-      pkt.path = report_path_;
+      pkt.path = &report_path_;
       pkt.bytes = bytes;
       pkt.klass = fabric::TrafficClass::kMonitor;
       fabric_.SendPacket(std::move(pkt));

@@ -47,7 +47,7 @@ void KvClient::IssueOp() {
   const uint64_t gen = generation_;
 
   fabric::PacketSpec request;
-  request.path = request_path_;
+  request.path = &request_path_;
   request.bytes = config_.request_bytes;
   request.tenant = config_.tenant;
   request.klass = fabric::TrafficClass::kData;
@@ -61,7 +61,7 @@ void KvClient::IssueOp() {
         return;
       }
       fabric::PacketSpec response;
-      response.path = response_path_;
+      response.path = &response_path_;
       response.bytes = config_.response_bytes;
       response.tenant = config_.tenant;
       response.klass = fabric::TrafficClass::kData;

@@ -93,7 +93,7 @@ std::string RunScenario(uint64_t seed) {
   PacketSpec packet;
   auto packet_path = fabric.Route(server.nics[0], server.dimms[1]);
   EXPECT_TRUE(packet_path.has_value());
-  packet.path = *packet_path;
+  packet.path = &*packet_path;
   packet.tenant = 1;
   fabric.SendPacket(packet);
 

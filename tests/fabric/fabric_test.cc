@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/topology/presets.h"
 
 namespace mihn::fabric {
@@ -307,8 +310,9 @@ TEST(FabricTest, PacketDeliveryAndCounters) {
   Simulation sim;
   const Line line = MakeLine();
   Fabric fabric(sim, line.topo);
+  const topology::Path path = RoutedPath(fabric, line.a, line.c);
   PacketSpec pkt;
-  pkt.path = RoutedPath(fabric, line.a, line.c);
+  pkt.path = &path;
   pkt.bytes = 1000;
   pkt.tenant = 2;
   bool delivered = false;
@@ -435,8 +439,9 @@ TEST(FabricTest, InterruptModerationDelaysPackets) {
   FabricConfig config;
   config.interrupt_moderation = TimeNs::Micros(10);
   Fabric fabric(sim, line.topo, config);
+  const topology::Path path = RoutedPath(fabric, line.a, line.c);
   PacketSpec pkt;
-  pkt.path = RoutedPath(fabric, line.a, line.c);
+  pkt.path = &path;
   pkt.bytes = 0;
   const TimeNs lat = fabric.SendPacket(std::move(pkt));
   EXPECT_EQ(lat, TimeNs::Nanos(150) + TimeNs::Micros(10));
@@ -483,6 +488,49 @@ TEST(FabricTest, RecomputeCountAdvances) {
   fabric.FlowRate(id);
   EXPECT_EQ(fabric.recompute_count(), before + 2);
   EXPECT_EQ(fabric.mutation_count(), 2u);
+}
+
+// FlowInfo::path is "valid while the flow is active": neither its address
+// nor its hops may move while other flows come and go, including spill
+// companions, removals and completions around it.
+TEST(FabricTest, FlowInfoPathStaysPutWhileOtherFlowsChurn) {
+  Simulation sim(7);
+  const topology::Server server = topology::CommodityTwoSocket();
+  Fabric fabric(sim, server.topo);
+  FlowSpec spec;
+  spec.path = RoutedPath(fabric, server.nics[0], server.sockets[0]);
+  spec.ddio_write = true;
+  spec.demand = Bandwidth::GBps(40);
+  const FlowId watched = fabric.StartFlow(spec);
+  const std::optional<FlowInfo> before = fabric.GetFlowInfo(watched);
+  ASSERT_TRUE(before.has_value());
+  const topology::Path* const address = before->path;
+  const std::vector<topology::DirectedLink> hops = address->hops;
+
+  std::vector<FlowId> others;
+  for (int i = 0; i < 1000; ++i) {
+    if (i % 3 == 2 && !others.empty()) {
+      fabric.StopFlow(others[static_cast<size_t>(i) % others.size()]);
+    } else {
+      FlowSpec other;
+      other.path = RoutedPath(fabric, server.nics[static_cast<size_t>(i) % server.nics.size()],
+                              i % 2 == 0 ? server.sockets[1] : server.dimms[0]);
+      other.ddio_write = i % 2 == 0;
+      other.demand = Bandwidth::GBps(1.0 + i % 9);
+      others.push_back(fabric.StartFlow(std::move(other)));
+    }
+    if (i % 50 == 0) {
+      sim.RunFor(TimeNs::Micros(10));
+    }
+  }
+  const std::optional<FlowInfo> after = fabric.GetFlowInfo(watched);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->path, address);
+  ASSERT_EQ(address->hops.size(), hops.size());
+  for (size_t h = 0; h < hops.size(); ++h) {
+    EXPECT_EQ(address->hops[h].link, hops[h].link);
+    EXPECT_EQ(address->hops[h].forward, hops[h].forward);
+  }
 }
 
 }  // namespace

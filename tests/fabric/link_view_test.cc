@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/fabric/fabric.h"
+#include "src/sim/staged_events.h"
 #include "src/topology/presets.h"
 
 namespace {
@@ -266,7 +267,7 @@ void RunRandomFabric(uint64_t seed, Coverage& cov) {
         continue;
       }
       PacketSpec pkt;
-      pkt.path = std::move(*path);
+      pkt.path = &*path;
       pkt.bytes = rng.UniformInt(0, 4096);
       pkt.tenant = rng.Bernoulli(0.7)
                        ? static_cast<TenantId>(kFirstPacketTenant + rng.UniformInt(0, 2))
@@ -352,11 +353,12 @@ TEST(LinkViewTest, ZeroBytePacketMakesItsTenantBytesPresent) {
   Simulation sim;
   const topology::Server server = topology::CommodityTwoSocket();
   Fabric fabric(sim, server.topo);
+  const topology::Path path = *fabric.Route(server.nics[0], server.sockets[0]);
   PacketSpec pkt;
-  pkt.path = *fabric.Route(server.nics[0], server.sockets[0]);
+  pkt.path = &path;
   pkt.bytes = 0;
   pkt.tenant = kFirstPacketTenant;
-  const topology::DirectedLink hop = pkt.path.hops.front();
+  const topology::DirectedLink hop = path.hops.front();
   fabric.SendPacket(std::move(pkt));
   const LinkSnapshot snap = fabric.Snapshot(hop);
   const std::map<TenantId, double> expected{{kFirstPacketTenant, 0.0}};
@@ -416,6 +418,59 @@ TEST(LinkViewTest, SteadyStateSolveAccrualAndViewPassAllocateNothing) {
   g_counting = false;
   EXPECT_EQ(g_allocations, 0u);
   EXPECT_EQ(fabric.recompute_count() - solves_before, 2000u);  // One solve per tick.
+  EXPECT_GT(sink, 0.0);
+}
+
+// The fleet's write path on one fleet-shaped host: 128 flows, DDIO writes
+// whose spill companions resize as demand moves, one demand change per
+// tick settled through the staged seam and replayed, then an accrual. Once
+// warm, none of it allocates.
+TEST(LinkViewTest, SteadyStateDemandChangeStagedSettleAndAccrualAllocateNothing) {
+#ifdef MIHN_ENABLE_INVARIANT_CHECKS
+  GTEST_SKIP() << "invariant-check build: CheckInvariants() allocates after every solve";
+#endif
+  Simulation sim(11);
+  const topology::Server server = topology::CommodityTwoSocket();
+  FabricConfig config;
+  config.way_bytes = 8 * 1024;  // A small LLC, so the DDIO writes spill.
+  Fabric fabric(sim, server.topo, config);
+  std::vector<FlowId> flows;
+  for (int i = 0; i < 128; ++i) {
+    FlowSpec fs;
+    const bool ddio = i % 8 == 0;
+    fs.path = *fabric.Route(i % 2 == 0 ? server.nics[static_cast<size_t>(i / 2) % server.nics.size()]
+                                       : server.ssds[static_cast<size_t>(i / 2) % server.ssds.size()],
+                            ddio ? server.sockets[static_cast<size_t>(i / 8) % server.sockets.size()]
+                                 : server.dimms[static_cast<size_t>(i) % server.dimms.size()]);
+    fs.tenant = static_cast<TenantId>(11 + i % 3);
+    fs.demand = Bandwidth::Gbps(1 + i % 16);
+    fs.ddio_write = ddio;
+    flows.push_back(fabric.StartFlow(std::move(fs)));
+  }
+  sim::StagedEvents staging;
+  double sink = 0.0;
+  const auto tick = [&](int i) {
+    // Alternate a DDIO parent (its spill child resizes) and a plain flow.
+    const FlowId id = flows[static_cast<size_t>(i % 2 == 0 ? (i / 2) % 16 * 8 : i % 128)];
+    fabric.SetFlowDemand(id, Bandwidth::Gbps(i % 4 == 0 ? 30.0 : 60.0));
+    fabric.SettleStaged(staging);
+    staging.ApplyTo(sim);
+    sim.RunFor(TimeNs::Millis(1));
+    sink += fabric.View(fabric.GetFlowInfo(flows[0])->path->hops.front()).bytes_total();
+  };
+  for (int i = 0; i < 200; ++i) {
+    tick(i);
+  }
+  const uint64_t solves_before = fabric.recompute_count();
+  g_allocations = 0;
+  g_counting = true;
+  for (int i = 200; i < 1200; ++i) {
+    tick(i);
+  }
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(fabric.recompute_count() - solves_before, 1000u);
+  EXPECT_GT(fabric.CacheStats(server.sockets[0]).spill_rate_bps, 0.0);
   EXPECT_GT(sink, 0.0);
 }
 

@@ -2,12 +2,14 @@
 // determinism contract says must never move under a refactor or a
 // performance change — a churned multi-tenant fleet's digest, report,
 // root-cause view and link snapshots; a collector's full metric store;
-// a collector whose rings wrap; a detector bank's anomaly log; and the
-// policy_grid sweep report. The expectations were captured before the
-// telemetry read path moved off per-link tenant maps (fleet, collector,
-// sweep) and before the metric store moved to handle-indexed, on-demand
-// rings (wrapped collector, bank log); a change that alters any of these
-// bytes is a behaviour change, not an optimisation.
+// a collector whose rings wrap; a detector bank's anomaly log; one fabric
+// under a seeded sequence of every mutator; and the policy_grid sweep
+// report. The expectations were captured before the telemetry read path
+// moved off per-link tenant maps (fleet, collector, sweep), before the
+// metric store moved to handle-indexed, on-demand rings (wrapped
+// collector, bank log) and before the fabric's flow map became a dense
+// id-ordered table (fabric op sequence); a change that alters any of
+// these bytes is a behaviour change, not an optimisation.
 //
 // Floating-point values are folded as hexfloats, so a pinned hash moves
 // on any bit-level change, not just on a printed-digit change.
@@ -16,6 +18,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "src/fleet/fleet.h"
 #include "src/host/host_network.h"
 #include "src/sim/random.h"
+#include "src/topology/presets.h"
 
 namespace mihn {
 namespace {
@@ -165,8 +169,10 @@ FleetGolden RunGoldenFleet(int worker_threads) {
         flows[1] = start_intra(h, 1);
       }
       if (h % 8 == 0) {
+        const topology::Path path =
+            *host.fabric().Route(host.server().nics[0], host.server().sockets[0]);
         fabric::PacketSpec pkt;
-        pkt.path = *host.fabric().Route(host.server().nics[0], host.server().sockets[0]);
+        pkt.path = &path;
         pkt.bytes = 256 + 64 * t;
         pkt.tenant = 40;
         host.fabric().SendPacket(std::move(pkt));
@@ -258,8 +264,9 @@ uint64_t RunGoldenCollector(size_t series_capacity, uint64_t* dropped_points) {
   }
   for (int ms = 0; ms < 40; ++ms) {
     if (ms % 5 == 0) {
+      const topology::Path path = *fabric.Route(server.gpus[0], server.sockets[0]);
       fabric::PacketSpec pkt;
-      pkt.path = *fabric.Route(server.gpus[0], server.sockets[0]);
+      pkt.path = &path;
       pkt.bytes = 4096;
       pkt.tenant = 9;
       fabric.SendPacket(std::move(pkt));
@@ -395,6 +402,208 @@ TEST(GoldenTest, DetectorBankAnomalyLogMatchesPinnedHash) {
     fnv.Add(a.detail);
   }
   EXPECT_EQ(Hex(fnv.value()), "0xbbe8f18bcbe39c4a");
+}
+
+// One fabric (DDIO on) driven by a seeded sequence of every mutator:
+// continuous flows and DDIO writes whose spill companions are created,
+// resized and removed; finite transfers, several started together so they
+// complete in one batch; stops, single and batched limits, weights and
+// demands; fault inject/clear; config changes; packets. After every step
+// the hash folds each active flow's info and rate, every directed link's
+// view, each socket's cache stats and the solve/mutation counts, then the
+// transfer results in delivery order.
+uint64_t RunGoldenFabric() {
+  sim::Simulation sim(41);
+  const topology::Server server = topology::CommodityTwoSocket();
+  fabric::Fabric fabric(sim, server.topo);
+  sim::Rng rng(0xfab1e);
+  Fnv fnv;
+  std::vector<fabric::FlowId> flows;
+  std::vector<fabric::TransferResult> results;
+
+  const auto pick = [&rng](const std::vector<topology::ComponentId>& from) {
+    return from[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1))];
+  };
+  // A device-to-memory or device-to-socket route; the socket ones may be
+  // DDIO writes. Empty when faults leave no route.
+  const auto random_spec = [&]() {
+    fabric::FlowSpec spec;
+    const int64_t kind = rng.UniformInt(0, 2);
+    const topology::ComponentId src =
+        kind == 0 ? pick(server.nics) : (kind == 1 ? pick(server.ssds) : pick(server.gpus));
+    const bool to_socket = rng.Bernoulli(0.5);
+    const topology::ComponentId dst = to_socket ? pick(server.sockets) : pick(server.dimms);
+    if (const auto path = fabric.Route(src, dst)) {
+      spec.path = *path;
+    }
+    spec.tenant = static_cast<fabric::TenantId>(rng.UniformInt(1, 5));
+    spec.demand = Bandwidth::Gbps(static_cast<double>(rng.UniformInt(1, 200)));
+    spec.weight = 1.0 + static_cast<double>(rng.UniformInt(0, 2));
+    spec.ddio_write = to_socket && rng.Bernoulli(0.7);
+    return spec;
+  };
+  const auto random_flow = [&]() {
+    return flows[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(flows.size()) - 1))];
+  };
+  const auto start_transfer = [&](fabric::FlowSpec spec, int64_t bytes) {
+    fabric::TransferSpec t;
+    t.flow = std::move(spec);
+    t.bytes = bytes;
+    t.on_complete = [&results](const fabric::TransferResult& r) { results.push_back(r); };
+    flows.push_back(fabric.StartTransfer(std::move(t)));
+  };
+  std::vector<topology::LinkId> faulted;
+  int spill_steps = 0;
+
+  for (int step = 0; step < 400; ++step) {
+    const int64_t op = flows.empty() ? 0 : rng.UniformInt(0, 11);
+    switch (op) {
+      case 0:
+      case 1:
+        flows.push_back(fabric.StartFlow(random_spec()));
+        break;
+      case 2: {
+        // A batch of identical transfers on one route: they drain together.
+        const fabric::FlowSpec spec = random_spec();
+        const int64_t bytes = rng.UniformInt(1, 64) * 64 * 1024;
+        const int64_t copies = rng.UniformInt(1, 3);
+        for (int64_t c = 0; c < copies; ++c) {
+          start_transfer(spec, bytes);
+        }
+        break;
+      }
+      case 3:
+        fabric.StopFlow(random_flow());
+        break;
+      case 4:
+        fabric.SetFlowLimit(random_flow(),
+                            Bandwidth::Gbps(static_cast<double>(rng.UniformInt(0, 100))));
+        break;
+      case 5: {
+        std::vector<std::pair<fabric::FlowId, Bandwidth>> limits;
+        for (int64_t k = rng.UniformInt(1, 4); k > 0; --k) {
+          limits.emplace_back(random_flow(),
+                              Bandwidth::Gbps(static_cast<double>(rng.UniformInt(1, 300))));
+        }
+        limits.emplace_back(fabric::FlowId{999999}, Bandwidth::Gbps(1));  // Unknown: skipped.
+        fabric.SetFlowLimitsBatch(limits);
+        break;
+      }
+      case 6:
+        fabric.SetFlowWeight(random_flow(), 0.5 + static_cast<double>(rng.UniformInt(0, 6)));
+        break;
+      case 7:
+      case 8:
+        fabric.SetFlowDemand(random_flow(),
+                             Bandwidth::Gbps(static_cast<double>(rng.UniformInt(0, 250))));
+        break;
+      case 9:
+        if (!faulted.empty() && rng.Bernoulli(0.5)) {
+          fabric.ClearLinkFault(faulted.back());
+          faulted.pop_back();
+        } else {
+          const auto link = static_cast<topology::LinkId>(
+              rng.UniformInt(0, static_cast<int64_t>(server.topo.link_count()) - 1));
+          const double factors[] = {0.0, 0.3, 0.7, 1.0};
+          fabric.InjectLinkFault(
+              link, fabric::LinkFault{factors[rng.UniformInt(0, 3)],
+                                      TimeNs::Nanos(rng.UniformInt(0, 2000))});
+          faulted.push_back(link);
+        }
+        break;
+      case 10: {
+        fabric::FabricConfig config = fabric.config();
+        config.ddio_enabled = rng.Bernoulli(0.7);
+        config.iommu_enabled = rng.Bernoulli(0.3);
+        config.relaxed_ordering = rng.Bernoulli(0.6);
+        config.ddio_ways = static_cast<int>(rng.UniformInt(1, 4));
+        fabric.SetConfig(config);
+        break;
+      }
+      default: {
+        const fabric::FlowSpec spec = random_spec();
+        if (!spec.path.empty()) {
+          fabric::PacketSpec pkt;
+          pkt.path = &spec.path;
+          pkt.bytes = rng.UniformInt(0, 8192);
+          pkt.tenant = spec.tenant;
+          fabric.SendPacket(std::move(pkt));
+        }
+        break;
+      }
+    }
+    sim.RunFor(TimeNs::Micros(rng.UniformInt(1, 400)));
+
+    fnv.Add(sim.Now().nanos());
+    for (const fabric::FlowId id : fabric.ActiveFlows()) {
+      const std::optional<fabric::FlowInfo> info = fabric.GetFlowInfo(id);
+      EXPECT_TRUE(info.has_value());
+      fnv.Add(info->id);
+      fnv.Add(static_cast<int64_t>(info->tenant));
+      fnv.Add(static_cast<int64_t>(info->klass));
+      fnv.Add(info->rate.bytes_per_sec());
+      fnv.Add(info->demand.bytes_per_sec());
+      fnv.Add(info->limit.bytes_per_sec());
+      fnv.Add(info->weight);
+      fnv.Add(info->bytes_moved);
+      fnv.Add(info->bytes_remaining);
+      fnv.Add(info->start_time.nanos());
+      for (const topology::DirectedLink& hop : info->path->hops) {
+        fnv.Add(static_cast<int64_t>(hop.link));
+        fnv.Add(static_cast<int64_t>(hop.forward));
+      }
+      fnv.Add(fabric.FlowRate(id).bytes_per_sec());
+      spill_steps += info->klass == fabric::TrafficClass::kSpill ? 1 : 0;
+    }
+    fabric.VisitLinks([&fnv](const fabric::LinkView& view) {
+      fnv.Add(view.capacity_bps());
+      fnv.Add(view.rate_bps());
+      fnv.Add(view.bytes_total());
+      fnv.Add(static_cast<int64_t>(view.packets()));
+      for (const fabric::TenantCounter& tc : view.tenants()) {
+        fnv.Add(static_cast<int64_t>(tc.tenant));
+        fnv.Add(static_cast<int64_t>(tc.rate_present) * 2 + static_cast<int64_t>(tc.bytes_present));
+        fnv.Add(tc.rate_bps);
+        fnv.Add(tc.bytes);
+      }
+      for (int k = 0; k < fabric::kNumTrafficClasses; ++k) {
+        fnv.Add(view.rate_by_class_bps()[static_cast<size_t>(k)]);
+        fnv.Add(view.bytes_by_class()[static_cast<size_t>(k)]);
+      }
+    });
+    for (const topology::ComponentId socket : server.sockets) {
+      const fabric::SocketCacheStats stats = fabric.CacheStats(socket);
+      fnv.Add(stats.io_write_rate_bps);
+      fnv.Add(stats.hit_rate);
+      fnv.Add(stats.spill_rate_bps);
+      fnv.Add(stats.working_set_bytes);
+      fnv.Add(stats.ddio_capacity_bytes);
+    }
+    fnv.Add(static_cast<int64_t>(fabric.recompute_count()));
+    fnv.Add(static_cast<int64_t>(fabric.mutation_count()));
+  }
+  sim.RunFor(TimeNs::Millis(50));
+  // The sequence reaches what the fleet goldens do not: spill companions
+  // and transfers delivered in batches.
+  EXPECT_GT(spill_steps, 0);
+  EXPECT_GT(results.size(), 20u);
+  int batched = 0;
+  for (size_t i = 1; i < results.size(); ++i) {
+    batched += results[i].end == results[i - 1].end ? 1 : 0;
+  }
+  EXPECT_GT(batched, 0);
+  fnv.Add("results");
+  for (const fabric::TransferResult& r : results) {
+    fnv.Add(r.id);
+    fnv.Add(r.start.nanos());
+    fnv.Add(r.end.nanos());
+    fnv.Add(r.bytes);
+  }
+  return fnv.value();
+}
+
+TEST(GoldenTest, SeededFabricOpSequenceMatchesPinnedHash) {
+  EXPECT_EQ(Hex(RunGoldenFabric()), "0xd907f172ce2a08d6");
 }
 
 TEST(GoldenTest, PolicyGridSweepReportMatchesPinnedHash) {

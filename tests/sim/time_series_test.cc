@@ -120,6 +120,7 @@ TEST(TimeSeriesTest, MeanOfLast) {
   EXPECT_DOUBLE_EQ(ts.MeanOfLast(2), 4.5);
   EXPECT_DOUBLE_EQ(ts.MeanOfLast(100), 3.0);
   EXPECT_EQ(TimeSeries(4).MeanOfLast(3), 0.0);
+  EXPECT_EQ(ts.MeanOfLast(0), 0.0);
 }
 
 TEST(TimeSeriesTest, WindowCopiesTail) {
@@ -246,7 +247,7 @@ void ExpectSame(const TimeSeries& ts, const ModelSeries& model, Rng& rng) {
     ASSERT_EQ(got.count(), stats.count());
     ASSERT_EQ(got.mean(), stats.mean());
   }
-  const size_t n = static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(ts.size()) + 2));
+  const size_t n = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(ts.size()) + 2));
   double sum = 0.0;
   const size_t take = std::min(n, model.points.size());
   for (size_t i = model.points.size() - take; i < model.points.size(); ++i) {

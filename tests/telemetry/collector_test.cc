@@ -71,7 +71,7 @@ TEST(CollectorTest, ThroughputSeriesIncludesPacketTraffic) {
   const auto path = *host.fabric().Route(server.nics[0], server.sockets[0]);
   host.simulation().SchedulePeriodic(TimeNs::Micros(1), [&] {
     fabric::PacketSpec pkt;
-    pkt.path = path;
+    pkt.path = &path;
     pkt.bytes = 1024;
     host.fabric().SendPacket(std::move(pkt));
   });

@@ -2,7 +2,8 @@
 // the metric store is full, a collector sample plus a detector-bank scan
 // allocate nothing — series are resolved through the collector's handle
 // table and the bank's cached pointers, and new points are visited in
-// place.
+// place — and a reporting collector's packet to the monitor store borrows
+// its route rather than copying it.
 //
 // This binary overrides global operator new/delete with a counting shim
 // (which is why it is its own test target: the override is link-global).
@@ -107,7 +108,7 @@ TEST(MetricStoreAllocTest, FullRingsSampleAndScanAllocateNothing) {
   // then the monitoring loop (sample + scan) runs under the counter.
   const auto tick = [&] {
     fabric::PacketSpec pkt;
-    pkt.path = packet_path;
+    pkt.path = &packet_path;
     pkt.bytes = 1024;
     pkt.tenant = 9;
     fabric.SendPacket(std::move(pkt));
@@ -138,6 +139,54 @@ TEST(MetricStoreAllocTest, FullRingsSampleAndScanAllocateNothing) {
   ASSERT_NE(util, nullptr);
   EXPECT_EQ(util->size(), 8u);
   EXPECT_EQ(util->storage_points(), 8u);
+}
+
+// A host-owned collector reports every sample to the monitor store as a
+// packet (report_to is set by default). The packet borrows the collector's
+// resolved route, so a full-ring sample still allocates nothing.
+TEST(MetricStoreAllocTest, ReportingHostCollectorSampleAllocatesNothing) {
+#ifdef MIHN_ENABLE_INVARIANT_CHECKS
+  GTEST_SKIP() << "invariant-check builds run CheckInvariants() on the read path, which "
+                  "allocates";
+#endif
+  HostNetwork::Options options;
+  options.autostart = HostNetwork::Autostart::kNone;
+  options.telemetry.series_capacity = 8;
+  sim::Simulation sim(9);
+  HostNetwork host(sim, options);
+  const topology::Server& server = host.server();
+  fabric::Fabric& fabric = host.fabric();
+  Collector& collector = host.collector();
+  ASSERT_NE(collector.config().report_to, topology::kInvalidComponent);
+  for (int k = 0; k < 4; ++k) {
+    fabric::FlowSpec spec;
+    spec.path = *fabric.Route(server.ssds[static_cast<size_t>(k) % server.ssds.size()],
+                              server.dimms[static_cast<size_t>(k) % server.dimms.size()]);
+    spec.tenant = static_cast<fabric::TenantId>(1 + k % 2);
+    spec.demand = Bandwidth::GBps(3.0 + k);
+    fabric.StartFlow(spec);
+  }
+  size_t allocations = 0;
+  const auto tick = [&] {
+    sim.RunFor(TimeNs::Millis(1));
+    g_allocations = 0;
+    g_counting = true;
+    collector.SampleOnce();
+    g_counting = false;
+    allocations += g_allocations;
+  };
+  for (int i = 0; i < 32; ++i) {
+    tick();
+  }
+  const int64_t reported = collector.bytes_reported();
+  EXPECT_GT(reported, 0);
+  allocations = 0;
+  for (int i = 0; i < 200; ++i) {
+    tick();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(collector.bytes_reported(), reported);  // Every sample shipped a packet.
+  EXPECT_GT(collector.total_dropped_points(), 0u);
 }
 
 }  // namespace
