@@ -47,6 +47,7 @@
 #include "src/obs/export.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
+#include "tests/support/max_min_reference.h"
 
 namespace mihn {
 namespace {

@@ -104,11 +104,6 @@ int32_t MaxMinSolver::AddFlowLocked(double weight, double demand, const int32_t*
 const std::vector<double>& MaxMinSolver::CommitLocked() {
   SetupFromInputs();
   RunRounds(0.0, 0);
-  for (size_t f = 0; f < num_flows_; ++f) {
-    if (!fixed_[f]) {
-      rates_[f] = flow_demand_[f];
-    }
-  }
   primed_ = true;
   return rates_;
 }
@@ -140,44 +135,26 @@ void MaxMinSolver::SetupFromInputs() {
   fixed_.assign(nf, 0);
   dead_.assign(nf, 0);
   fix_round_.assign(nf, kNeverFixed);
-  unfixed_ = 0;
 
   // Dead scan + per-link weight accumulation in flow order (the reference's
-  // accumulation order; weight sums must match it bit-for-bit).
+  // accumulation order; weight sums must match it bit-for-bit), counting
+  // each link's live members for the member CSR on the way.
+  link_flow_off_.assign(nl + 1, 0);
   for (size_t f = 0; f < nf; ++f) {
-    const int32_t lo = flow_link_off_[f];
-    const int32_t hi = flow_link_off_[f + 1];
-    bool dead = flow_demand_[f] <= 0.0;
-    for (int32_t i = lo; i < hi; ++i) {
-      const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-      if (l < 0 || static_cast<size_t>(l) >= nl || capacities_[static_cast<size_t>(l)] <= 0.0) {
-        dead = true;
-      }
-    }
-    if (dead) {
+    if (flow_demand_[f] <= 0.0 || CrossesDeadLink(f)) {
       dead_[f] = 1;
-      fixed_[f] = 1;
-      fix_round_[f] = kDeadRound;
       continue;
     }
-    ++unfixed_;
     const double w = flow_weight_[f];
-    for (int32_t i = lo; i < hi; ++i) {
-      link_weight_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])] += w;
+    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
+      const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
+      link_weight_[l] += w;
+      ++link_flow_off_[l + 1];
     }
   }
 
   // Link -> live member flows, CSR, members ascending (counting sort over
   // flows in ascending order).
-  link_flow_off_.assign(nl + 1, 0);
-  for (size_t f = 0; f < nf; ++f) {
-    if (dead_[f]) {
-      continue;
-    }
-    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-      ++link_flow_off_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]) + 1];
-    }
-  }
   for (size_t l = 0; l < nl; ++l) {
     link_flow_off_[l + 1] += link_flow_off_[l];
   }
@@ -198,17 +175,80 @@ void MaxMinSolver::SetupFromInputs() {
   }
   overlay_count_ = 0;
 
-  link_unfixed_.assign(nl, 0);
-  link_cursor_.assign(nl, 0);
-  for (size_t l = 0; l < nl; ++l) {
-    link_unfixed_[l] = link_flow_off_[l + 1] - link_flow_off_[l];
-    link_cursor_[l] = link_flow_off_[l];
-  }
-  ratio_gen_ = 1;
+  sat_round_.assign(nl, kNeverSat);
+  RebuildFillState(0);
+  cur_round_ = 0;
 
-  // Active link set with dense SoA mirrors. A link is active while its
-  // unfixed-member weight is nonzero; links with weight in (0, kMinWeight]
-  // stay active (the reference still charges them) but never pin the level.
+  // Trace reset: this full solve becomes the delta engine's new baseline.
+  trace_level_.clear();
+  trace_forced_.clear();
+  trace_fixed_.clear();
+  lw_init_ = link_weight_;
+  unfixed_init_ = unfixed_;
+  ckpt_count_ = 0;
+  ckpt_stride_ = 1;
+  last_ckpt_round_ = 0;
+
+  flow_muts_.clear();
+  cap_muts_.clear();
+  scan_links_.clear();
+  dirty_pos_.assign(nl, -1);
+  force_full_ = false;
+}
+
+bool MaxMinSolver::CrossesDeadLink(size_t flow) const {
+  for (int32_t i = flow_link_off_[flow]; i < flow_link_off_[flow + 1]; ++i) {
+    const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
+    if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
+        capacities_[static_cast<size_t>(l)] <= 0.0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Derives the fill state at the entry of |round| from the canonical arrays
+// (dead_, fix_round_, residual_, link_weight_, sat_round_): flows fixed in
+// an earlier round stay fixed, dead flows settle at rate 0, and every other
+// flow is unfixed. Rebuilds the fixed flags, the unfixed counts, the member
+// cursors, the two demand heaps (entries pushed in ascending flow order)
+// and the active link set with its dense SoA mirrors. A link is active
+// while its unfixed-member weight is nonzero; links with weight in
+// (0, kMinWeight] stay active (the reference still charges them) but never
+// pin the level.
+void MaxMinSolver::RebuildFillState(size_t round) {
+  const size_t nl = num_links_;
+  const int32_t r32 = static_cast<int32_t>(round);
+  unfixed_ = 0;
+  link_unfixed_.assign(nl, 0);
+  link_cursor_.assign(link_flow_off_.begin(), link_flow_off_.end() - 1);
+  heap_level_.clear();
+  heap_fix_.clear();
+  for (size_t f = 0; f < num_flows_; ++f) {
+    if (dead_[f]) {
+      fixed_[f] = 1;
+      fix_round_[f] = kDeadRound;
+      rates_[f] = 0.0;
+      continue;
+    }
+    if (fix_round_[f] < r32) {
+      fixed_[f] = 1;
+      continue;
+    }
+    fixed_[f] = 0;
+    fix_round_[f] = kNeverFixed;
+    ++unfixed_;
+    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
+      ++link_unfixed_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])];
+    }
+    const double w = flow_weight_[f];
+    const double d = flow_demand_[f];
+    heap_level_.emplace_back(d / w, static_cast<int32_t>(f));
+    heap_fix_.emplace_back((d - DemandTol(d)) / w, static_cast<int32_t>(f));
+  }
+  std::make_heap(heap_level_.begin(), heap_level_.end(), HeapGreater{});
+  std::make_heap(heap_fix_.begin(), heap_fix_.end(), HeapGreater{});
+
   active_links_.clear();
   active_pos_.assign(nl, -1);
   act_res_.clear();
@@ -224,47 +264,13 @@ void MaxMinSolver::SetupFromInputs() {
       act_lw_.push_back(link_weight_[l]);
       act_thr_.push_back(capacities_[l] * 1e-12 + kEps);
       act_unfixed_.push_back(link_unfixed_[l]);
-      act_satrec_.push_back(0);
+      act_satrec_.push_back(sat_round_[l] != kNeverSat ? 1 : 0);
     }
   }
-  act_ratio_.assign(active_links_.size(), 0.0);
-  act_ratio_gen_.assign(active_links_.size(), 0);
-
-  heap_level_.clear();
-  heap_fix_.clear();
-  for (size_t f = 0; f < nf; ++f) {
-    if (fixed_[f]) {
-      continue;
-    }
-    const double w = flow_weight_[f];
-    const double d = flow_demand_[f];
-    heap_level_.emplace_back(d / w, static_cast<int32_t>(f));
-    heap_fix_.emplace_back((d - DemandTol(d)) / w, static_cast<int32_t>(f));
-  }
-  std::make_heap(heap_level_.begin(), heap_level_.end(), HeapGreater{});
-  std::make_heap(heap_fix_.begin(), heap_fix_.end(), HeapGreater{});
 
   candidates_.clear();
-  candidate_epoch_.assign(nf, 0);
+  candidate_epoch_.assign(num_flows_, 0);
   epoch_ = 0;
-  cur_round_ = 0;
-
-  // Trace reset: this full solve becomes the delta engine's new baseline.
-  trace_level_.clear();
-  trace_forced_.clear();
-  trace_fixed_.clear();
-  sat_round_.assign(nl, kNeverSat);
-  lw_init_ = link_weight_;
-  unfixed_init_ = unfixed_;
-  ckpt_count_ = 0;
-  ckpt_stride_ = 1;
-  last_ckpt_round_ = 0;
-
-  flow_muts_.clear();
-  cap_muts_.clear();
-  scan_links_.clear();
-  dirty_pos_.assign(nl, -1);
-  force_full_ = false;
 }
 
 void MaxMinSolver::RemoveActiveLink(size_t pos) {
@@ -280,8 +286,6 @@ void MaxMinSolver::RemoveActiveLink(size_t pos) {
     act_thr_[pos] = act_thr_[last];
     act_unfixed_[pos] = act_unfixed_[last];
     act_satrec_[pos] = act_satrec_[last];
-    act_ratio_[pos] = act_ratio_[last];
-    act_ratio_gen_[pos] = act_ratio_gen_[last];
     active_pos_[static_cast<size_t>(active_links_[pos])] = static_cast<int32_t>(pos);
   }
   active_links_.pop_back();
@@ -290,8 +294,6 @@ void MaxMinSolver::RemoveActiveLink(size_t pos) {
   act_thr_.pop_back();
   act_unfixed_.pop_back();
   act_satrec_.pop_back();
-  act_ratio_.pop_back();
-  act_ratio_gen_.pop_back();
 }
 
 double MaxMinSolver::ResidualOf(size_t link) const {
@@ -304,21 +306,22 @@ double MaxMinSolver::LinkWeightOf(size_t link) const {
   return pos >= 0 ? act_lw_[static_cast<size_t>(pos)] : link_weight_[link];
 }
 
-void MaxMinSolver::FixFlow(int32_t flow, double rate) {
+// Fixes |flow| in the current round at the reference's rate min(level*w, d)
+// and drains its weight from every link it crosses.
+void MaxMinSolver::FixFlow(int32_t flow, double level) {
   const size_t f = static_cast<size_t>(flow);
-  rates_[f] = rate;
+  const double w = flow_weight_[f];
+  rates_[f] = std::min(level * w, flow_demand_[f]);
   fixed_[f] = 1;
   fix_round_[f] = static_cast<int32_t>(cur_round_);
   --unfixed_;
   ++fixed_this_round_;
-  const double w = flow_weight_[f];
   for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
     const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
     --link_unfixed_[l];  // Only live flows reach here, so every link is valid.
     const int32_t pos = active_pos_[l];
     if (pos >= 0) {
       --act_unfixed_[static_cast<size_t>(pos)];
-      act_ratio_gen_[static_cast<size_t>(pos)] = 0;  // Drain stales the quotient.
       double& lw = act_lw_[static_cast<size_t>(pos)];
       lw -= w;
       if (lw < 0.0) {
@@ -340,12 +343,16 @@ void MaxMinSolver::FixFlow(int32_t flow, double rate) {
   }
 }
 
-void MaxMinSolver::StoreCheckpoint(size_t round, double level) {
+// Opens round cur_round_ at |level|: stores a checkpoint when one is due.
+void MaxMinSolver::CheckpointRound(double level) {
+  if (ckpt_count_ != 0 && cur_round_ - last_ckpt_round_ < ckpt_stride_) {
+    return;
+  }
   if (ckpt_count_ == ckpts_.size()) {
     ckpts_.emplace_back();
   }
   Checkpoint& c = ckpts_[ckpt_count_];
-  c.round = round;
+  c.round = cur_round_;
   c.level = level;
   c.res = residual_;
   c.lw = link_weight_;
@@ -355,7 +362,7 @@ void MaxMinSolver::StoreCheckpoint(size_t round, double level) {
     c.lw[l] = act_lw_[i];
   }
   ++ckpt_count_;
-  last_ckpt_round_ = round;
+  last_ckpt_round_ = cur_round_;
   if (ckpt_count_ > kMaxCheckpoints) {
     // Stride-doubling compaction: keep every second checkpoint (round 0
     // always survives) so the pool stays O(kMaxCheckpoints) regardless of
@@ -370,6 +377,48 @@ void MaxMinSolver::StoreCheckpoint(size_t round, double level) {
   }
 }
 
+// Closes round cur_round_: appends it to the retained trace.
+void MaxMinSolver::RecordRound(double level, bool forced) {
+  trace_level_.push_back(level);
+  trace_forced_.push_back(forced ? 1 : 0);
+  trace_fixed_.push_back(static_cast<int32_t>(fixed_this_round_));
+  ++cur_round_;
+}
+
+// The link-side half of the forced-fix bound: every active link that still
+// bounds an unfixed flow (weight above kMinWeight, an unfixed member), with
+// its term level + residual/weight.
+void MaxMinSolver::GatherBoundLinks(double level) {
+  bound_links_.clear();
+  bound_terms_.clear();
+  for (size_t i = 0; i < active_links_.size(); ++i) {
+    if (act_lw_[i] > kMinWeight && act_unfixed_[i] > 0) {
+      bound_links_.push_back(active_links_[i]);
+      bound_terms_.push_back(level + act_res_[i] / act_lw_[i]);
+    }
+  }
+}
+
+// Lowest-index unfixed member of |link|, or -1. Its member CSR ascends with
+// overlay slots above it, and fixing is monotone within a solve, so the
+// cursor past the fixed prefix answers in amortized O(1).
+int32_t MaxMinSolver::LowestUnfixedMember(size_t link) {
+  int32_t& cur = link_cursor_[link];
+  while (cur < link_flow_off_[link + 1] &&
+         fixed_[static_cast<size_t>(link_flow_ids_[static_cast<size_t>(cur)])]) {
+    ++cur;
+  }
+  if (cur < link_flow_off_[link + 1]) {
+    return link_flow_ids_[static_cast<size_t>(cur)];
+  }
+  for (const int32_t f : extra_members_[link]) {
+    if (!fixed_[static_cast<size_t>(f)]) {
+      return f;
+    }
+  }
+  return -1;
+}
+
 // The flow the reference's forced-fix guard would select: the lowest-index
 // unfixed flow whose constraint bound min(d/w, min over its weighted links
 // of level + residual/link_weight) is globally minimal.
@@ -377,39 +426,27 @@ void MaxMinSolver::StoreCheckpoint(size_t round, double level) {
 // The reference recomputes that bound for every unfixed flow — O(F × L) per
 // forced round, which degenerates badly in the stall regime (a drained
 // link's weight dust pins the water level, so every remaining flow is
-// force-fixed one per round). This computes the identical argmin in
-// O(active links + log F): every unfixed flow's link terms are drawn from
-// {level + res_l/lw_l : link l carries an unfixed member}, so the global
-// bound minimum is
+// force-fixed one per round). This computes the identical argmin from the
+// link-side bound set (GatherBoundLinks, or the tail's incremental copy of
+// it) plus the demand heap: every unfixed flow's link terms are drawn from
+// that set, so the global bound minimum is
 //
 //   B = min( min over unfixed flows of d/w,        — heap_level_'s top
-//            min over member-carrying links of s_l )
+//            min over bound links of their term )
 //
 // and since no unfixed flow holds a term below B, a flow's bound equals B
 // exactly when one of its terms equals B. The reference's strict-less scan
 // returns the lowest index among those flows: the minimum of heap_level_'s
-// key ties and each B-achieving link's lowest-index unfixed member (its
-// member CSR ascends, overlay slots above it, so the monotone cursor past
-// the fixed prefix yields it in amortized O(1)).
-int32_t MaxMinSolver::ForcedArgmin(double level) {
-  double b_key = std::numeric_limits<double>::infinity();
+// key ties and each B-achieving link's lowest-index unfixed member.
+int32_t MaxMinSolver::ForcedArgmin() {
+  const double kInf = std::numeric_limits<double>::infinity();
   while (!heap_level_.empty() && fixed_[static_cast<size_t>(heap_level_.front().second)]) {
     HeapPop(heap_level_);
   }
-  if (!heap_level_.empty()) {
-    b_key = heap_level_.front().first;
-  }
-  double b_link = std::numeric_limits<double>::infinity();
-  const size_t na = active_links_.size();
-  for (size_t i = 0; i < na; ++i) {
-    if (act_lw_[i] > kMinWeight && act_unfixed_[i] > 0) {
-      if (act_ratio_gen_[i] != ratio_gen_) {
-        act_ratio_[i] = act_res_[i] / act_lw_[i];
-        act_ratio_gen_[i] = ratio_gen_;
-      }
-      const double t = level + act_ratio_[i];
-      b_link = t < b_link ? t : b_link;
-    }
+  const double b_key = heap_level_.empty() ? kInf : heap_level_.front().first;
+  double b_link = kInf;
+  for (const double t : bound_terms_) {
+    b_link = t < b_link ? t : b_link;
   }
   const double best = b_key < b_link ? b_key : b_link;
   if (!std::isfinite(best)) {
@@ -442,33 +479,11 @@ int32_t MaxMinSolver::ForcedArgmin(double level) {
     mut_fix_scratch_.clear();
   }
   if (b_link == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-    for (size_t i = 0; i < na; ++i) {
-      if (act_lw_[i] <= kMinWeight || act_unfixed_[i] == 0) {
+    for (size_t i = 0; i < bound_terms_.size(); ++i) {
+      if (bound_terms_[i] != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
         continue;
       }
-      if (act_ratio_gen_[i] != ratio_gen_) {
-        act_ratio_[i] = act_res_[i] / act_lw_[i];
-        act_ratio_gen_[i] = ratio_gen_;
-      }
-      const double t = level + act_ratio_[i];
-      if (t != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-        continue;
-      }
-      const size_t l = static_cast<size_t>(active_links_[i]);
-      int32_t& cur = link_cursor_[l];
-      while (cur < link_flow_off_[l + 1] &&
-             fixed_[static_cast<size_t>(link_flow_ids_[static_cast<size_t>(cur)])]) {
-        ++cur;
-      }
-      int32_t cand = cur < link_flow_off_[l + 1] ? link_flow_ids_[static_cast<size_t>(cur)] : -1;
-      if (cand < 0) {
-        for (const int32_t f : extra_members_[l]) {
-          if (!fixed_[static_cast<size_t>(f)]) {
-            cand = f;
-            break;
-          }
-        }
-      }
+      const int32_t cand = LowestUnfixedMember(static_cast<size_t>(bound_links_[i]));
       if (cand >= 0 && (argmin < 0 || cand < argmin)) {
         argmin = cand;
       }
@@ -522,113 +537,29 @@ bool MaxMinSolver::TailPinned(double level) {
   return heap_fix_.empty() || heap_fix_.front().first > level * (1.0 + kFixSlack);
 }
 
-// ForcedArgmin specialised to the frozen-level tail: the link-side bounds
-// come from the compact tail set (tail_links_/tail_terms_), which
-// RunTailRounds keeps equal to {links with weight above kMinWeight and an
-// unfixed member} with terms level + res/lw of the current operands — the
-// exact candidate set and values ForcedArgmin would scan, minus the
-// per-round sweep over fully-fixed and dust slots.
-int32_t MaxMinSolver::TailArgmin(double level) {
-  double b_key = std::numeric_limits<double>::infinity();
-  while (!heap_level_.empty() && fixed_[static_cast<size_t>(heap_level_.front().second)]) {
-    HeapPop(heap_level_);
-  }
-  if (!heap_level_.empty()) {
-    b_key = heap_level_.front().first;
-  }
-  double b_link = std::numeric_limits<double>::infinity();
-  const size_t nt = tail_terms_.size();
-  for (size_t i = 0; i < nt; ++i) {
-    b_link = tail_terms_[i] < b_link ? tail_terms_[i] : b_link;
-  }
-  const double best = b_key < b_link ? b_key : b_link;
-  if (!std::isfinite(best)) {
-    return -1;
-  }
-  int32_t argmin = -1;
-  if (b_key == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-    mut_fix_scratch_.clear();
-    while (!heap_level_.empty()) {
-      const HeapEntry top = heap_level_.front();
-      if (fixed_[static_cast<size_t>(top.second)]) {
-        HeapPop(heap_level_);
-        continue;
-      }
-      if (top.first != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-        break;
-      }
-      HeapPop(heap_level_);
-      mut_fix_scratch_.push_back(top.second);
-      if (argmin < 0 || top.second < argmin) {
-        argmin = top.second;
-      }
-    }
-    for (const int32_t f : mut_fix_scratch_) {
-      HeapPush(heap_level_, best, f);
-    }
-    mut_fix_scratch_.clear();
-  }
-  if (b_link == best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-    for (size_t i = 0; i < nt; ++i) {
-      if (tail_terms_[i] != best) {  // mihn-check: float-eq-ok(exact bound-tie enumeration)
-        continue;
-      }
-      const size_t l = static_cast<size_t>(tail_links_[i]);
-      int32_t& cur = link_cursor_[l];
-      while (cur < link_flow_off_[l + 1] &&
-             fixed_[static_cast<size_t>(link_flow_ids_[static_cast<size_t>(cur)])]) {
-        ++cur;
-      }
-      int32_t cand = cur < link_flow_off_[l + 1] ? link_flow_ids_[static_cast<size_t>(cur)] : -1;
-      if (cand < 0) {
-        for (const int32_t f : extra_members_[l]) {
-          if (!fixed_[static_cast<size_t>(f)]) {
-            cand = f;
-            break;
-          }
-        }
-      }
-      if (cand >= 0 && (argmin < 0 || cand < argmin)) {
-        argmin = cand;
-      }
-    }
-  }
-  return argmin;
-}
-
 // The frozen-level tail: rounds degenerate to "forced-fix the reference's
 // argmin, at rate min(level*w, d)". Skips the next-level scan (== level),
 // the residual charge (delta is 0.0, bitwise a no-op), the harvest and the
 // gather (both provably empty, see TailPinned) while emitting the identical
-// trace rounds, fix rounds and checkpoints the general loop would.
+// trace rounds, fix rounds and checkpoints the general loop would. The
+// link-side bound set is gathered once and then kept equal to what
+// GatherBoundLinks would return, by refreshing only the links each fix
+// drains, so the per-round sweep over fully-fixed and dust slots goes away.
 void MaxMinSolver::RunTailRounds(double level) {
-  // Compact link-side bound set; each fix below refreshes the drained
-  // entries, so TailArgmin never rescans slots that stopped mattering.
-  tail_links_.clear();
-  tail_terms_.clear();
+  GatherBoundLinks(level);
   tail_pos_.assign(num_links_, -1);
-  const size_t na = active_links_.size();
-  for (size_t i = 0; i < na; ++i) {
-    if (act_lw_[i] > kMinWeight && act_unfixed_[i] > 0) {
-      const size_t l = static_cast<size_t>(active_links_[i]);
-      tail_pos_[l] = static_cast<int32_t>(tail_links_.size());
-      tail_links_.push_back(static_cast<int32_t>(l));
-      tail_terms_.push_back(level + act_res_[i] / act_lw_[i]);
-    }
+  for (size_t i = 0; i < bound_links_.size(); ++i) {
+    tail_pos_[static_cast<size_t>(bound_links_[i])] = static_cast<int32_t>(i);
   }
   while (unfixed_ > 0) {
-    if (ckpt_count_ == 0 || cur_round_ - last_ckpt_round_ >= ckpt_stride_) {
-      StoreCheckpoint(cur_round_, level);
-    }
+    CheckpointRound(level);
     fixed_this_round_ = 0;
-    const int32_t argmin = TailArgmin(level);
+    const int32_t argmin = ForcedArgmin();
     if (argmin < 0) {
       break;  // Same exit as the general loop: unconstrained-tail rule.
     }
+    FixFlow(argmin, level);
     const size_t af = static_cast<size_t>(argmin);
-    const double w = flow_weight_[af];
-    FixFlow(argmin, std::min(level * w, flow_demand_[af]));
-    // Refresh the tail entries of the links the fix drained.
     for (int32_t i = flow_link_off_[af]; i < flow_link_off_[af + 1]; ++i) {
       const size_t l = static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)]);
       const int32_t tp = tail_pos_[l];
@@ -638,34 +569,29 @@ void MaxMinSolver::RunTailRounds(double level) {
       const int32_t pos = active_pos_[l];
       if (pos >= 0 && act_lw_[static_cast<size_t>(pos)] > kMinWeight &&
           act_unfixed_[static_cast<size_t>(pos)] > 0) {
-        tail_terms_[static_cast<size_t>(tp)] =
+        bound_terms_[static_cast<size_t>(tp)] =
             level + act_res_[static_cast<size_t>(pos)] / act_lw_[static_cast<size_t>(pos)];
         continue;
       }
       // Out of unfixed members or drained to dust: leave the bound set.
-      const size_t tl = tail_links_.size() - 1;
+      const size_t tl = bound_links_.size() - 1;
       if (static_cast<size_t>(tp) != tl) {
-        tail_links_[static_cast<size_t>(tp)] = tail_links_[tl];
-        tail_terms_[static_cast<size_t>(tp)] = tail_terms_[tl];
-        tail_pos_[static_cast<size_t>(tail_links_[tl])] = tp;
+        bound_links_[static_cast<size_t>(tp)] = bound_links_[tl];
+        bound_terms_[static_cast<size_t>(tp)] = bound_terms_[tl];
+        tail_pos_[static_cast<size_t>(bound_links_[tl])] = tp;
       }
-      tail_links_.pop_back();
-      tail_terms_.pop_back();
+      bound_links_.pop_back();
+      bound_terms_.pop_back();
       tail_pos_[l] = -1;
     }
-    trace_level_.push_back(level);
-    trace_forced_.push_back(1);
-    trace_fixed_.push_back(static_cast<int32_t>(fixed_this_round_));
-    ++cur_round_;
+    RecordRound(level, /*forced=*/true);
   }
 }
 
 void MaxMinSolver::RunRounds(double level, size_t start_round) {
   cur_round_ = start_round;
   while (unfixed_ > 0) {
-    if (ckpt_count_ == 0 || cur_round_ - last_ckpt_round_ >= ckpt_stride_) {
-      StoreCheckpoint(cur_round_, level);
-    }
+    CheckpointRound(level);
 
     // Next water level: min over active link saturation terms and the lazy
     // demand-ceiling heap. IEEE min over the same candidate set is
@@ -711,9 +637,6 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     // loop; inactive links all carry exactly zero weight, so skipping them
     // is exact).
     const double delta = next_level - level;
-    if (delta != 0.0) {  // mihn-check: float-eq-ok(zero-delta charge leaves residuals bitwise intact)
-      ++ratio_gen_;  // Residuals move: every cached quotient goes stale.
-    }
     double* res_w = act_res_.data();
     for (size_t j = 0; j < na; ++j) {
       res_w[j] -= delta * lw_v[j];
@@ -806,7 +729,7 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
         }
       }
       if (at_demand || bottlenecked) {
-        FixFlow(fc, std::min(level * w, d));
+        FixFlow(fc, level);
       }
     }
 
@@ -822,21 +745,16 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     // Termination guard, identical to the reference: if dust prevented any
     // fix, force-fix the flow whose constraint set the water level (see
     // ForcedArgmin for why the cheap selection is exact).
-    bool forced = false;
-    if (fixed_this_round_ == 0) {
-      forced = true;
-      const int32_t argmin = ForcedArgmin(level);
+    const bool forced = fixed_this_round_ == 0;
+    if (forced) {
+      GatherBoundLinks(level);
+      const int32_t argmin = ForcedArgmin();
       if (argmin < 0) {
         break;
       }
-      const double w = flow_weight_[static_cast<size_t>(argmin)];
-      FixFlow(argmin, std::min(level * w, flow_demand_[static_cast<size_t>(argmin)]));
+      FixFlow(argmin, level);
     }
-
-    trace_level_.push_back(level);
-    trace_forced_.push_back(forced ? 1 : 0);
-    trace_fixed_.push_back(static_cast<int32_t>(fixed_this_round_));
-    ++cur_round_;
+    RecordRound(level, forced);
 
     // Stall-tail fast path: a forced round that did not move the water
     // level may prove the level frozen for the rest of the solve (see
@@ -855,6 +773,13 @@ void MaxMinSolver::RunRounds(double level, size_t start_round) {
     const size_t l = static_cast<size_t>(active_links_[i]);
     residual_[l] = act_res_[i];
     link_weight_[l] = act_lw_[i];
+  }
+  // Unconstrained-tail rule: a flow no finite bound ever fixed runs at its
+  // demand.
+  for (size_t f = 0; f < num_flows_; ++f) {
+    if (!fixed_[f]) {
+      rates_[f] = flow_demand_[f];
+    }
   }
 }
 
@@ -875,16 +800,19 @@ MaxMinSolver::FlowMut& MaxMinSolver::MutFor(int32_t flow) {
   if (FlowMut* m = FindMut(flow)) {
     return *m;
   }
+  const size_t f = static_cast<size_t>(flow);
+  return NewMut(flow, flow_demand_[f], !dead_[f]);
+}
+
+// Records |flow|'s pre-mutation image: its current weight, demand |d_old|
+// and liveness |alive_old| in the retained solve.
+MaxMinSolver::FlowMut& MaxMinSolver::NewMut(int32_t flow, double d_old, bool alive_old) {
   FlowMut m;
   m.flow = flow;
-  const size_t f = static_cast<size_t>(flow);
-  m.w_old = flow_weight_[f];
-  m.d_old = flow_demand_[f];
-  m.key_old = m.d_old / m.w_old;
-  m.alive_old = !dead_[f];
-  m.links_dirty = false;
-  m.fixed_new = false;
-  m.rate_new = 0.0;
+  m.w_old = flow_weight_[static_cast<size_t>(flow)];
+  m.d_old = d_old;
+  m.key_old = d_old / m.w_old;
+  m.alive_old = alive_old;
   m.fix_round_new = kNeverFixed;
   flow_muts_.push_back(m);
   return flow_muts_.back();
@@ -931,15 +859,7 @@ void MaxMinSolver::UpdateFlowDemand(int32_t flow, double demand) {
   }
   // A flow crossing an invalid or zero-capacity link is dead at ANY demand:
   // both worlds agree on that, so a demand write needs no mutation record.
-  bool link_dead = false;
-  for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-    const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-    if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
-        capacities_[static_cast<size_t>(l)] <= 0.0) {
-      link_dead = true;
-      break;
-    }
-  }
+  const bool link_dead = CrossesDeadLink(f);
   if (link_dead && dead_[f] && FindMut(flow) == nullptr) {
     flow_demand_[f] = demand;
     return;
@@ -999,14 +919,7 @@ int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_
   // Extend the per-flow solve-state arrays the last prime sized.
   rates_.push_back(0.0);
   fixed_.push_back(1);
-  bool dead = flow_demand_[f] <= 0.0;
-  for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-    const int32_t l = flow_link_ids_[static_cast<size_t>(i)];
-    if (l < 0 || static_cast<size_t>(l) >= num_links_ ||
-        capacities_[static_cast<size_t>(l)] <= 0.0) {
-      dead = true;
-    }
-  }
+  const bool dead = flow_demand_[f] <= 0.0 || CrossesDeadLink(f);
   dead_.push_back(dead ? 1 : 0);
   fix_round_.push_back(dead ? kDeadRound : kNeverFixed);
   candidate_epoch_.push_back(0);
@@ -1019,17 +932,8 @@ int32_t MaxMinSolver::AddFlowRetained(double weight, double demand, const int32_
       ++overlay_count_;
     }
   }
-  FlowMut m;
-  m.flow = slot;
-  m.w_old = flow_weight_[f];
-  m.d_old = 0.0;
-  m.key_old = 0.0;
-  m.alive_old = false;  // Did not exist in the retained solve.
-  m.links_dirty = true;
-  m.fixed_new = false;
-  m.rate_new = 0.0;
-  m.fix_round_new = kNeverFixed;
-  flow_muts_.push_back(m);
+  // Did not exist in the retained solve: old demand 0, not alive.
+  NewMut(slot, 0.0, false).links_dirty = true;
   return slot;
 }
 
@@ -1059,18 +963,13 @@ void MaxMinSolver::RemoveFlowRetained(int32_t flow) {
 // Delta dispatch
 // ---------------------------------------------------------------------------
 
-const std::vector<double>& MaxMinSolver::FullSolveRetained() {
-  delta_stats_.fallback_full = true;
-  ++delta_fallbacks_;
-  SetupFromInputs();
-  RunRounds(0.0, 0);
-  for (size_t f = 0; f < num_flows_; ++f) {
-    if (!fixed_[f]) {
-      rates_[f] = flow_demand_[f];
-    }
+// Net change in live flows the pending mutations make.
+ptrdiff_t MaxMinSolver::LiveDelta() const {
+  ptrdiff_t delta = 0;
+  for (const FlowMut& m : flow_muts_) {
+    delta += (dead_[static_cast<size_t>(m.flow)] ? 0 : 1) - (m.alive_old ? 1 : 0);
   }
-  primed_ = true;
-  return rates_;
+  return delta;
 }
 
 bool MaxMinSolver::DeltaWorthScanning() const {
@@ -1104,7 +1003,9 @@ const std::vector<double>& MaxMinSolver::SolveDelta() {
   delta_stats_.divergence_round = trace_level_.size() + 1;  // "None" sentinel.
 
   if (!primed_ || force_full_ || !DeltaWorthScanning()) {
-    return FullSolveRetained();  // Resets all mutation state via SetupFromInputs.
+    delta_stats_.fallback_full = true;
+    ++delta_fallbacks_;
+    return CommitLocked();  // Resets all mutation state via SetupFromInputs.
   }
   if (flow_muts_.empty() && cap_muts_.empty()) {
     delta_stats_.noop_splice = true;
@@ -1230,10 +1131,7 @@ bool MaxMinSolver::ScanTrace(size_t* divergence_round) {
     m.fix_round_new = kNeverFixed;
   }
 
-  ptrdiff_t unfixed_new = static_cast<ptrdiff_t>(unfixed_init_);
-  for (const FlowMut& m : flow_muts_) {
-    unfixed_new += (dead_[static_cast<size_t>(m.flow)] ? 0 : 1) - (m.alive_old ? 1 : 0);
-  }
+  ptrdiff_t unfixed_new = static_cast<ptrdiff_t>(unfixed_init_) + LiveDelta();
 
   const size_t ns = scan_links_.size();
   ckpt_dirty_res_.resize(ckpt_count_ * ns);
@@ -1485,11 +1383,7 @@ void MaxMinSolver::RepointRetainedState(size_t keep_rounds, bool keep_boundary_c
     lw_init_[l] = s.lw_init_n;
   }
 
-  ptrdiff_t delta_live = 0;
-  for (const FlowMut& m : flow_muts_) {
-    delta_live += (dead_[static_cast<size_t>(m.flow)] ? 0 : 1) - (m.alive_old ? 1 : 0);
-  }
-  unfixed_init_ = static_cast<size_t>(static_cast<ptrdiff_t>(unfixed_init_) + delta_live);
+  unfixed_init_ = static_cast<size_t>(static_cast<ptrdiff_t>(unfixed_init_) + LiveDelta());
 
   trace_level_.resize(keep_rounds);
   trace_forced_.resize(keep_rounds);
@@ -1531,13 +1425,11 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
   RepointRetainedState(resume_round, /*keep_boundary_ckpt=*/true);
 
   // Splice mutation outcomes resolved before the resume point; everything
-  // else re-runs.
+  // else re-runs (dead flows are settled below).
+  const int32_t rr32 = static_cast<int32_t>(resume_round);
   for (const FlowMut& m : flow_muts_) {
     const size_t f = static_cast<size_t>(m.flow);
-    if (dead_[f]) {
-      rates_[f] = 0.0;
-      fix_round_[f] = kDeadRound;
-    } else if (m.fixed_new && m.fix_round_new < static_cast<int32_t>(resume_round)) {
+    if (m.fixed_new && m.fix_round_new < rr32) {
       rates_[f] = m.rate_new;
       fix_round_[f] = m.fix_round_new;
     } else {
@@ -1545,77 +1437,15 @@ void MaxMinSolver::ResumeFrom(size_t divergence_round) {
     }
   }
 
-  // Restore the O(links) solver state from the (re-pointed) checkpoint.
+  // Restore the O(links) solver state from the (re-pointed) checkpoint and
+  // the flow-side state from fix rounds: no per-flow floating-point state
+  // to restore.
   residual_ = ckpts_[ci].res;
   link_weight_ = ckpts_[ci].lw;
-
-  active_links_.clear();
-  active_pos_.assign(num_links_, -1);
-  act_res_.clear();
-  act_lw_.clear();
-  act_thr_.clear();
-  act_satrec_.clear();
-  for (size_t l = 0; l < num_links_; ++l) {
-    if (link_weight_[l] > 0.0) {
-      active_pos_[l] = static_cast<int32_t>(active_links_.size());
-      active_links_.push_back(static_cast<int32_t>(l));
-      act_res_.push_back(residual_[l]);
-      act_lw_.push_back(link_weight_[l]);
-      act_thr_.push_back(capacities_[l] * 1e-12 + kEps);
-      act_satrec_.push_back(sat_round_[l] != kNeverSat ? 1 : 0);
-    }
-  }
-  act_ratio_.assign(active_links_.size(), 0.0);
-  act_ratio_gen_.assign(active_links_.size(), 0);
+  RebuildFillState(resume_round);
   delta_stats_.component_links = active_links_.size();
 
-  // Reconstruct flow-side state from fix rounds: O(flows), no per-flow
-  // floating-point state to restore.
-  const int32_t rr32 = static_cast<int32_t>(resume_round);
-  unfixed_ = 0;
-  heap_level_.clear();
-  heap_fix_.clear();
-  link_unfixed_.assign(num_links_, 0);
-  link_cursor_.assign(link_flow_off_.begin(), link_flow_off_.end() - 1);
-  ratio_gen_ = 1;
-  for (size_t f = 0; f < num_flows_; ++f) {
-    if (dead_[f]) {
-      fixed_[f] = 1;
-      fix_round_[f] = kDeadRound;
-      rates_[f] = 0.0;
-      continue;
-    }
-    if (fix_round_[f] != kNeverFixed && fix_round_[f] < rr32) {
-      fixed_[f] = 1;
-      continue;
-    }
-    fixed_[f] = 0;
-    fix_round_[f] = kNeverFixed;
-    ++unfixed_;
-    for (int32_t i = flow_link_off_[f]; i < flow_link_off_[f + 1]; ++i) {
-      ++link_unfixed_[static_cast<size_t>(flow_link_ids_[static_cast<size_t>(i)])];
-    }
-    const double w = flow_weight_[f];
-    const double d = flow_demand_[f];
-    heap_level_.emplace_back(d / w, static_cast<int32_t>(f));
-    heap_fix_.emplace_back((d - DemandTol(d)) / w, static_cast<int32_t>(f));
-  }
-  std::make_heap(heap_level_.begin(), heap_level_.end(), HeapGreater{});
-  std::make_heap(heap_fix_.begin(), heap_fix_.end(), HeapGreater{});
-  act_unfixed_.resize(active_links_.size());
-  for (size_t i = 0; i < active_links_.size(); ++i) {
-    act_unfixed_[i] = link_unfixed_[static_cast<size_t>(active_links_[i])];
-  }
-  candidate_epoch_.assign(num_flows_, 0);
-  epoch_ = 0;
-  candidates_.clear();
-
   RunRounds(resume_level, resume_round);
-  for (size_t f = 0; f < num_flows_; ++f) {
-    if (!fixed_[f]) {
-      rates_[f] = flow_demand_[f];
-    }
-  }
   delta_stats_.resumed_rounds = trace_level_.size() - resume_round;
 }
 

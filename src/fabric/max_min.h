@@ -3,24 +3,24 @@
 // This is the mathematical core of the fluid fabric model: given flows that
 // each traverse a set of capacitated resources, assign rates so that the
 // allocation is weighted max-min fair subject to per-flow demand ceilings.
-// Pure functions of their inputs — no simulator types — so the fairness
-// invariants are directly property-testable.
+// No simulator types appear here, so the fairness invariants are directly
+// property-testable.
 //
-// Two implementations live here:
+// MaxMinSolver is the production engine: a reusable workspace object that
+// owns all scratch state (flat flow/link tables, per-link member lists,
+// residuals, demand heaps, dense active-set mirrors) so the steady-state
+// solve path performs zero heap allocations, prunes each progressive-
+// filling round down to the *active link set*, and — the delta path —
+// retains the full solve trace so that a small mutation (capacity nudge,
+// demand update, flow add/remove) is answered by replaying the unchanged
+// prefix of the previous solve and re-filling only the diverging suffix.
 //
-//  * MaxMinSolver — the production engine. A reusable workspace object that
-//    owns all scratch state (flat flow/link tables, per-link member lists,
-//    residuals, demand heaps, dense active-set mirrors) so the steady-state
-//    solve path performs zero heap allocations, prunes each progressive-
-//    filling round down to the *active link set*, and — the delta path —
-//    retains the full solve trace so that a small mutation (capacity nudge,
-//    demand update, flow add/remove) is answered by replaying the unchanged
-//    prefix of the previous solve and re-filling only the diverging suffix.
-//  * SolveMaxMinReference — the original O(rounds × flows × links) free
-//    function, kept as the behavioural oracle. The solver is required to
-//    reproduce its rates bit-for-bit (see the differential tests in
-//    tests/fabric/max_min_solver_test.cc and max_min_delta_test.cc); any
-//    optimisation that changes a result is a bug.
+// Its behavioural oracle, SolveMaxMinReference (the original O(rounds ×
+// flows × links) solver), lives in the test-support library
+// (tests/support/max_min_reference.h), which no production library links.
+// The solver is required to reproduce its rates bit-for-bit (see the
+// differential tests in tests/fabric/max_min_solver_test.cc and
+// max_min_delta_test.cc); any optimisation that changes a result is a bug.
 
 #ifndef MIHN_SRC_FABRIC_MAX_MIN_H_
 #define MIHN_SRC_FABRIC_MAX_MIN_H_
@@ -267,20 +267,25 @@ class MaxMinSolver {
       MIHN_REQUIRES(mu_);
   const std::vector<double>& CommitLocked() MIHN_REQUIRES(mu_);
 
-  void RemoveActiveLink(size_t pos) MIHN_REQUIRES(mu_);
-  void FixFlow(int32_t flow, double rate) MIHN_REQUIRES(mu_);
-  int32_t ForcedArgmin(double level) MIHN_REQUIRES(mu_);
-  bool TailPinned(double level) MIHN_REQUIRES(mu_);
-  int32_t TailArgmin(double level) MIHN_REQUIRES(mu_);
-  void RunTailRounds(double level) MIHN_REQUIRES(mu_);
   void SetupFromInputs() MIHN_REQUIRES(mu_);
+  bool CrossesDeadLink(size_t flow) const MIHN_REQUIRES(mu_);
+  void RebuildFillState(size_t round) MIHN_REQUIRES(mu_);
+  void RemoveActiveLink(size_t pos) MIHN_REQUIRES(mu_);
+  void FixFlow(int32_t flow, double level) MIHN_REQUIRES(mu_);
+  void CheckpointRound(double level) MIHN_REQUIRES(mu_);
+  void RecordRound(double level, bool forced) MIHN_REQUIRES(mu_);
+  void GatherBoundLinks(double level) MIHN_REQUIRES(mu_);
+  int32_t LowestUnfixedMember(size_t link) MIHN_REQUIRES(mu_);
+  int32_t ForcedArgmin() MIHN_REQUIRES(mu_);
+  bool TailPinned(double level) MIHN_REQUIRES(mu_);
+  void RunTailRounds(double level) MIHN_REQUIRES(mu_);
   void RunRounds(double level, size_t start_round) MIHN_REQUIRES(mu_);
-  void StoreCheckpoint(size_t round, double level) MIHN_REQUIRES(mu_);
   double ResidualOf(size_t link) const MIHN_REQUIRES(mu_);
   double LinkWeightOf(size_t link) const MIHN_REQUIRES(mu_);
   FlowMut* FindMut(int32_t flow) MIHN_REQUIRES(mu_);
   FlowMut& MutFor(int32_t flow) MIHN_REQUIRES(mu_);
-  const std::vector<double>& FullSolveRetained() MIHN_REQUIRES(mu_);
+  FlowMut& NewMut(int32_t flow, double d_old, bool alive_old) MIHN_REQUIRES(mu_);
+  ptrdiff_t LiveDelta() const MIHN_REQUIRES(mu_);
   bool DeltaWorthScanning() const MIHN_REQUIRES(mu_);
   bool ScanTrace(size_t* divergence_round) MIHN_REQUIRES(mu_);
   // ScanTrace inner-loop helpers (methods, not lambdas: thread-safety
@@ -338,24 +343,17 @@ class MaxMinSolver {
   std::vector<double> act_thr_ MIHN_GUARDED_BY(mu_);
   // More slot-parallel mirrors, so the per-round sweeps touch contiguous
   // memory instead of chasing link ids: unfixed-member count (mirror of
-  // link_unfixed_ for active slots), a saturation-recorded flag (sat_round_
-  // already stamped, skip the sparse probe), and a memoized residual/weight
-  // quotient for the forced-fix guard. A quotient is valid iff its
-  // generation matches ratio_gen_: the generation advances whenever a
-  // nonzero delta recharges every residual, and a weight drain stamps the
-  // drained slot invalid, so a cached quotient is always the exact division
-  // of the current operands.
+  // link_unfixed_ for active slots) and a saturation-recorded flag
+  // (sat_round_ already stamped, skip the sparse probe).
   std::vector<int32_t> act_unfixed_ MIHN_GUARDED_BY(mu_);
   std::vector<uint8_t> act_satrec_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> act_ratio_ MIHN_GUARDED_BY(mu_);
-  std::vector<uint64_t> act_ratio_gen_ MIHN_GUARDED_BY(mu_);
-  uint64_t ratio_gen_ MIHN_GUARDED_BY(mu_) = 1;
 
-  // Frozen-level tail scratch (RunTailRounds): the compact set of links
-  // that still bound an unfixed flow, with their (frozen) saturation terms.
-  std::vector<int32_t> tail_links_ MIHN_GUARDED_BY(mu_);
-  std::vector<double> tail_terms_ MIHN_GUARDED_BY(mu_);
-  std::vector<int32_t> tail_pos_ MIHN_GUARDED_BY(mu_);  // link -> index in tail_links_, -1 if absent.
+  // Forced-fix scratch (GatherBoundLinks): the links that still bound an
+  // unfixed flow, with their saturation terms. The frozen-level tail keeps
+  // the set current across rounds through tail_pos_.
+  std::vector<int32_t> bound_links_ MIHN_GUARDED_BY(mu_);
+  std::vector<double> bound_terms_ MIHN_GUARDED_BY(mu_);
+  std::vector<int32_t> tail_pos_ MIHN_GUARDED_BY(mu_);  // link -> index in bound_links_, -1 if absent.
 
   // Min-heaps over unfixed flows with lazy deletion. heap_level_ is keyed by
   // demand/weight (the exact demand-ceiling term of the water level);
@@ -412,12 +410,6 @@ class MaxMinSolver {
   uint64_t delta_fallbacks_ MIHN_GUARDED_BY(mu_) = 0;
   uint64_t delta_noop_splices_ MIHN_GUARDED_BY(mu_) = 0;
 };
-
-// The original straightforward implementation, O(F·L) per filling round.
-// Retained as the oracle for differential testing and as the baseline for
-// bench_solver_scaling; not used by the fabric.
-std::vector<double> SolveMaxMinReference(const std::vector<MaxMinFlow>& flows,
-                                         const std::vector<double>& capacities);
 
 }  // namespace mihn::fabric
 

@@ -14,9 +14,10 @@
 // dispatch — schedule, fire, cancel, re-arm — performs zero heap
 // allocations (proven by tests/sim/engine_alloc_test.cc). The previous
 // std::function + priority_queue engine is preserved verbatim as
-// ReferenceSimulation (src/sim/reference_simulation.h); a differential test
-// drives both with identical scripts and asserts identical firing sequences
-// and byte-identical trace exports.
+// ReferenceSimulation in the test-support library
+// (tests/support/reference_simulation.h); a differential test drives both
+// with identical scripts and asserts identical firing sequences and
+// byte-identical trace exports.
 
 #ifndef MIHN_SRC_SIM_SIMULATION_H_
 #define MIHN_SRC_SIM_SIMULATION_H_

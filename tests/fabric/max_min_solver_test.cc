@@ -10,6 +10,7 @@
 
 #include "src/fabric/max_min.h"
 #include "src/sim/random.h"
+#include "tests/support/max_min_reference.h"
 
 namespace mihn::fabric {
 namespace {

@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "src/sim/reference_simulation.h"
 #include "src/sim/simulation.h"
+#include "tests/support/reference_simulation.h"
 
 namespace mihn::sim {
 namespace {

@@ -19,8 +19,8 @@
 #include "src/obs/sim_trace.h"
 #include "src/obs/tracer.h"
 #include "src/sim/random.h"
-#include "src/sim/reference_simulation.h"
 #include "src/sim/simulation.h"
+#include "tests/support/reference_simulation.h"
 
 namespace mihn::sim {
 namespace {

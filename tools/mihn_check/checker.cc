@@ -250,9 +250,9 @@ void RuleHeaderHygiene(RuleContext& ctx) {
 
 // -- D8 api drift -------------------------------------------------------------
 
-// Banned identifiers, matched as exact tokens (so SolveMaxMinReference,
-// the retained oracle, never trips the SolveMaxMin ban). A ban applies to
-// paths under |scope| ("" = everywhere) except those under |home|.
+// Banned identifiers, matched as exact tokens (so SolveMaxMinReference, the
+// oracle, never trips the SolveMaxMin ban). A ban applies to paths under
+// |scope| ("" = everywhere) except those under |home|.
 struct BannedToken {
   const char* token;
   const char* hint;
@@ -280,6 +280,18 @@ const BannedToken kBannedTokens[] = {
      {},
      "src/",
      "src/fabric/"},
+    // The oracles live in the test-support library (tests/support/), which
+    // no production library links; production code never names them.
+    {"SolveMaxMinReference",
+     "test-only max-min oracle (tests/support/max_min_reference.h); production code solves "
+     "with MaxMinSolver",
+     {},
+     "src/"},
+    {"ReferenceSimulation",
+     "test-only event-engine oracle (tests/support/reference_simulation.h); production code "
+     "runs on sim::Simulation",
+     {},
+     "src/"},
 };
 
 bool InBanScope(const std::string& rel_path, const BannedToken& ban) {

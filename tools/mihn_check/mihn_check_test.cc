@@ -182,6 +182,28 @@ TEST(MihnCheckTest, D8SnapshotScopeExemptsFabricTestsAndBenches) {
   }
 }
 
+TEST(MihnCheckTest, D8FlagsOraclesUnderSrc) {
+  const std::string bad = ReadFixture("d8_oracle_bad.cc");
+  for (const char* rel : {"src/fabric/max_min.cc", "src/sim/simulation.cc",
+                          "src/fleet/fleet.cc"}) {
+    const auto findings = CheckFile(rel, bad);
+    EXPECT_EQ(CountRule(findings, "D8:api-drift"), 2u) << rel;  // One per oracle.
+    EXPECT_EQ(findings.size(), 2u) << rel;
+  }
+  EXPECT_TRUE(CheckFile("src/fabric/fabric.cc", ReadFixture("d8_oracle_good.cc")).empty());
+}
+
+TEST(MihnCheckTest, D8OracleScopeExemptsTestsAndBenches) {
+  // The oracles' home is the test-support library; the differential tests
+  // and the benches that measure the gap name them on purpose.
+  const std::string bad = ReadFixture("d8_oracle_bad.cc");
+  for (const char* rel : {"tests/support/max_min_reference.cc",
+                          "tests/fabric/max_min_solver_test.cc",
+                          "bench/bench_solver_scaling.cpp", "d8_oracle_bad.cc"}) {
+    EXPECT_TRUE(CheckFile(rel, bad).empty()) << rel;
+  }
+}
+
 TEST(MihnCheckTest, D8FiresOnOwningClockConstructions) {
   const auto findings = Check("d8_clock_bad.cc");
   EXPECT_EQ(CountRule(findings, "D8:owned-clock"), 3u);
