@@ -11,6 +11,10 @@
 // — the fleet's determinism contract, enforced here exactly as in
 // tests/fleet/fleet_test.cc but at bench scale.
 //
+// Each row also counts fabric solves per tick (summed recompute_count()
+// over hosts): on the cross-host-only rows nothing but the coupling can
+// solve, and it solves only on hosts that changed, so those rows read 0.
+//
 // Two grids: host-count scaling (16 -> 4096 hosts, cross-host flows only)
 // and a high-flow grid where every host also runs hundreds of intra-host
 // flows with per-tick demand churn — the top row is 4096 hosts x 256 flows
@@ -122,6 +126,7 @@ struct Result {
   int workers = 0;  // Pooled run's actual pool width after the clamp.
   double serial_ns_per_tick = 0.0;
   double pooled_ns_per_tick = 0.0;
+  double solves_per_tick = 0.0;  // Summed recompute_count() delta over hosts.
   uint64_t digest = 0;
   bool identical = false;
 };
@@ -161,8 +166,16 @@ Result RunConfig(int hosts, int ticks, int intra_per_host) {
       }
       f.Tick();
     };
+    const auto solves = [&f] {
+      uint64_t n = 0;
+      for (int h = 0; h < f.host_count(); ++h) {
+        n += f.host(h).fabric().recompute_count();
+      }
+      return n;
+    };
     churn_tick(-2);  // Warm-up: events scheduled, coupling at its fixed
     churn_tick(-1);  // point, pool spun up, solver workspaces primed.
+    const uint64_t solves_before = solves();
     const double t0 = NowSec();
     for (int t = 0; t < ticks; ++t) {
       churn_tick(t);
@@ -170,6 +183,9 @@ Result RunConfig(int hosts, int ticks, int intra_per_host) {
     const double t1 = NowSec();
     if (ns_per_tick != nullptr) {
       *ns_per_tick = (t1 - t0) * 1e9 / ticks;
+    }
+    if (options.worker_threads == 0) {
+      r.solves_per_tick = static_cast<double>(solves() - solves_before) / ticks;
     }
     return f.TelemetryDigest();
   };
@@ -354,6 +370,7 @@ int main(int argc, char** argv) {
                       {"pooled us/tick", 16},
                       {"speedup", 9},
                       {"per-host us", 13},
+                      {"solves/tick", 13},
                       {"identical", 10}});
 
   // Host-count scaling grid (cross-host flows only), then the high-flow
@@ -385,7 +402,7 @@ int main(int argc, char** argv) {
                bench::Fmt("%.1f", r.serial_ns_per_tick / 1e3),
                bench::Fmt("%.1f", r.pooled_ns_per_tick / 1e3), bench::Fmt("%.2fx", speedup),
                bench::Fmt("%.2f", r.serial_ns_per_tick / 1e3 / r.hosts),
-               r.identical ? "yes" : "NO"});
+               bench::Fmt("%.1f", r.solves_per_tick), r.identical ? "yes" : "NO"});
   }
 
   bench::Banner("fabric_host_cost",
@@ -418,11 +435,11 @@ int main(int argc, char** argv) {
                    "\"intra_flows_per_host\": %d, \"aggregate_flows\": %lld, "
                    "\"ticks\": %d, \"workers\": %d, \"serial_ns_per_tick\": %.0f, "
                    "\"pooled_ns_per_tick\": %.0f, \"speedup\": %.2f, "
-                   "\"ns_per_tick_per_host\": %.0f, \"digest\": \"%016llx\", "
-                   "\"identical\": %s}%s\n",
+                   "\"ns_per_tick_per_host\": %.0f, \"solves_per_tick\": %.1f, "
+                   "\"digest\": \"%016llx\", \"identical\": %s}%s\n",
                    r.hosts, r.racks, r.cross_flows, r.intra_per_host, r.aggregate_flows,
                    r.ticks, r.workers, r.serial_ns_per_tick, r.pooled_ns_per_tick, speedup,
-                   r.serial_ns_per_tick / r.hosts,
+                   r.serial_ns_per_tick / r.hosts, r.solves_per_tick,
                    static_cast<unsigned long long>(r.digest), r.identical ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }

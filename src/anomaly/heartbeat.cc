@@ -111,6 +111,7 @@ void HeartbeatMesh::CloseAlarm(PairState& state, sim::TimeNs now) {
     AlarmEvent& event = alarm_log_[static_cast<size_t>(state.open_alarm)];
     event.cleared = true;
     event.cleared_at = now;
+    ++cleared_count_;
     state.open_alarm = -1;
   }
 }

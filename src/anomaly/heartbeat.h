@@ -89,6 +89,8 @@ class HeartbeatMesh {
   // Append-only raise/clear history, in raise order (chaos campaigns score
   // detection and recovery from this).
   const std::vector<AlarmEvent>& alarm_log() const { return alarm_log_; }
+  // Entries of alarm_log() with cleared set, in O(1). Only ever grows.
+  size_t cleared_count() const { return cleared_count_; }
 
   // Ranks links by the fraction of their crossing pairs that alarm (score
   // descending, then link id). Links never crossed by an alarmed pair are
@@ -132,6 +134,8 @@ class HeartbeatMesh {
   std::vector<AlarmEvent> alarm_log_;
   // Pairs with alarmed set: raised in Tick(), lowered only in CloseAlarm().
   size_t alarmed_count_ = 0;
+  // Log entries with cleared set: raised only in CloseAlarm().
+  size_t cleared_count_ = 0;
 };
 
 }  // namespace mihn::anomaly

@@ -336,12 +336,8 @@ TrialResult Campaign::RunTrialImpl(int trial, uint64_t seed, std::string* error)
             new_signal = true;
           }
           state.alarms_seen = log.size();
-          size_t closures = 0;
-          for (const anomaly::HeartbeatMesh::AlarmEvent& event : log) {
-            closures += event.cleared ? 1 : 0;
-          }
-          if (closures > state.closures_seen) {
-            state.closures_seen = closures;
+          if (mesh->cleared_count() > state.closures_seen) {
+            state.closures_seen = mesh->cleared_count();
             new_closure = true;
           }
         }

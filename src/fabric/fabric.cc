@@ -104,6 +104,7 @@ FlowId Fabric::StartTransfer(TransferSpec spec) {
   }
   FlowState& state = flows_.back();  // StartFlow just appended it.
   state.bytes_remaining = static_cast<double>(spec.bytes);
+  ++transfer_count_;
   state.detail->on_complete = std::move(spec.on_complete);
   // The completion event is scheduled by the deferred Recompute() (which
   // already pends from StartFlow) once the transfer's rate is known.
@@ -784,9 +785,11 @@ void Fabric::CheckInvariants() const {
   MIHN_CHECK(!in_recompute_);
 
   // Table order: ids strictly ascending, hop ranges back to back in row
-  // order and covering both hop arrays exactly.
+  // order and covering both hop arrays exactly; the transfer count matches
+  // the finite rows.
   MIHN_CHECK(hop_links_.size() == hop_slots_.size());
   size_t next_hop = 0;
+  size_t transfers = 0;
   for (size_t i = 0; i < flows_.size(); ++i) {
     const FlowState& f = flows_[i];
     MIHN_CHECK(i == 0 || flows_[i - 1].id < f.id);
@@ -801,8 +804,10 @@ void Fabric::CheckInvariants() const {
       MIHN_CHECK(hop_links_[h - 1] < hop_links_[h]);  // Sorted and deduped.
     }
     next_hop += f.hop_count;
+    transfers += f.bytes_remaining >= 0.0 ? 1 : 0;
   }
   MIHN_CHECK(next_hop == hop_links_.size());
+  MIHN_CHECK(transfers == transfer_count_);
 
   // Per-link conservation, recomputed independently from flow state.
   std::vector<double> link_sums(links_.size(), 0.0);
@@ -917,6 +922,9 @@ void Fabric::ReleaseFlow(FlowState& f) {
   f.released = true;
   if (f.ddio_write && ddio_flow_count_ > 0) {
     --ddio_flow_count_;
+  }
+  if (f.bytes_remaining >= 0.0) {
+    --transfer_count_;
   }
   if (solver_retained_ && f.solver_slot >= 0) {
     solver_.RemoveFlowRetained(f.solver_slot);

@@ -277,15 +277,29 @@ class Fabric {
   // recompute_count() is the observable coalescing ratio.
   uint64_t mutation_count() const { return mutation_count_; }
 
+  // True while a mutation awaits its solve. Reading it does NOT force one.
+  bool dirty() const { return dirty_; }
+
+  // True when solving again with no new mutation would leave the fabric
+  // exactly as it is. Two things break that: an active DDIO-write flow
+  // (each solve moves the spill coupling one step on from the previous
+  // solve's spill demands, not to a fixed point) and a finite transfer in
+  // flight (each solve re-arms its completion from Now, and the delay is
+  // truncated to whole nanoseconds). A caller that skips re-solving an
+  // unchanged fabric (the fleet's cross-host coupling) may skip only when
+  // this holds.
+  bool resolve_is_noop() const { return ddio_flow_count_ == 0 && transfer_count_ == 0; }
+
   // Debug invariant pass over the solved state: per-link conservation
   // (Σ flow rates on a link equals the link's aggregate and stays within
   // effective capacity, modulo float tolerance), non-negative rates and
   // counters, spill parent/child symmetry, flow-table order (ids strictly
-  // ascending, hop ranges contiguous in table order), and dirty-flag/
-  // recompute-count consistency. Aborts via MIHN_CHECK on the first
-  // violation. A no-op unless built with -DMIHN_ENABLE_INVARIANT_CHECKS=ON,
-  // in which case Recompute() runs it after every solve, so the existing
-  // fabric/sim test suites exercise it end to end.
+  // ascending, hop ranges contiguous in table order), the transfer count,
+  // and dirty-flag/recompute-count consistency. Aborts via MIHN_CHECK on
+  // the first violation. A no-op unless built with
+  // -DMIHN_ENABLE_INVARIANT_CHECKS=ON, in which case Recompute() runs it
+  // after every solve, so the existing fabric/sim test suites exercise it
+  // end to end.
   void CheckInvariants() const;
 
  private:
@@ -462,6 +476,7 @@ class Fabric {
   uint64_t mutation_count_ = 0;
   uint64_t mutations_at_last_solve_ = 0;  // For the per-solve coalescing arg.
   size_t ddio_flow_count_ = 0;  // Active flows with spec.ddio_write.
+  size_t transfer_count_ = 0;    // Active finite transfers (bytes_remaining >= 0).
   bool dirty_ = false;
   bool in_recompute_ = false;
 };

@@ -33,6 +33,7 @@ Fleet::Fleet(int num_hosts, Options options)
   stagings_.resize(hosts_.size());
   lifts_.resize(hosts_.size());
   caps_.resize(hosts_.size());
+  capped_mutations_.resize(hosts_.size());
   if (options_.worker_threads > 1) {
     pool_ = std::make_unique<core::WorkerPool>(options_.worker_threads,
                                                options_.clamp_workers_to_hardware);
@@ -113,18 +114,34 @@ sim::Bandwidth Fleet::CrossHostRate(CrossFlowId id) const {
   return sim::Bandwidth::BytesPerSec(it->second.coupled_rate_bps);
 }
 
+bool Fleet::IsStale(int host) const {
+  const fabric::Fabric& fabric = hosts_[static_cast<size_t>(host)]->fabric();
+  return fabric.mutation_count() != capped_mutations_[static_cast<size_t>(host)] ||
+         !fabric.resolve_is_noop();
+}
+
 void Fleet::CoupleCrossHostFlows() {
   if (cross_flows_.empty()) {
     return;
   }
-  // Lift the previous tick's caps so each intra-host stage re-competes at
-  // its full demand; batched per host so every host pays one recompute.
+  // Lift the caps on stale hosts only, so each of their stages re-competes
+  // at its full demand; batched per host so every host pays one recompute.
+  // A clean host keeps the lifted rates cached at its last lift: every
+  // input to its solve but the fleet's own caps has stayed put since, and
+  // its fabric re-solves to the state it holds (resolve_is_noop). The lift
+  // moves mutation_count(), so a stale host stays stale for the whole pass.
   for (LimitBatch& batch : lifts_) {
     batch.clear();
   }
   for (const auto& [id, flow] : cross_flows_) {
-    lifts_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, flow.spec.demand);
-    lifts_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, flow.spec.demand);
+    if (IsStale(flow.spec.src_host)) {
+      lifts_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow,
+                                                                   flow.spec.demand);
+    }
+    if (IsStale(flow.spec.dst_host)) {
+      lifts_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow,
+                                                                   flow.spec.demand);
+    }
   }
   for (size_t h = 0; h < hosts_.size(); ++h) {
     if (!lifts_[h].empty()) {
@@ -133,32 +150,49 @@ void Fleet::CoupleCrossHostFlows() {
   }
   // Settle the lifted fabrics across the pool before reading rates — a
   // FlowRate() read on a dirty fabric would otherwise solve serially on
-  // this thread, one host at a time.
+  // this thread, one host at a time. With nothing lifted (and nothing left
+  // dirty by the event window) this opens no pool round.
   SettleHosts();
   // Each stage's achievable intra-host rate bounds the inter-host demand;
   // the shared inter-host solve then yields the end-to-end rate.
   for (auto& [id, flow] : cross_flows_) {
-    const double src_rate =
-        host(flow.spec.src_host).fabric().FlowRate(flow.src_flow).bytes_per_sec();
-    const double dst_rate =
-        host(flow.spec.dst_host).fabric().FlowRate(flow.dst_flow).bytes_per_sec();
-    const double bound = std::min({flow.spec.demand.bytes_per_sec(), src_rate, dst_rate});
+    if (IsStale(flow.spec.src_host)) {
+      flow.src_lifted_bps =
+          host(flow.spec.src_host).fabric().FlowRate(flow.src_flow).bytes_per_sec();
+    }
+    if (IsStale(flow.spec.dst_host)) {
+      flow.dst_lifted_bps =
+          host(flow.spec.dst_host).fabric().FlowRate(flow.dst_flow).bytes_per_sec();
+    }
+    const double bound =
+        std::min({flow.spec.demand.bytes_per_sec(), flow.src_lifted_bps, flow.dst_lifted_bps});
     inter_.SetFlowDemand(flow.inter_slot, sim::Bandwidth::BytesPerSec(bound));
   }
   inter_.Solve();
-  // Cap both intra-host stages at the end-to-end rate.
+  // Cap both intra-host stages at the end-to-end rate: every stage on a
+  // stale host (its lift must be undone), and elsewhere only the stages
+  // whose coupled rate moved. Re-capping an unmoved stage on a clean host
+  // would re-solve to the state it already holds.
   for (LimitBatch& batch : caps_) {
     batch.clear();
   }
   for (auto& [id, flow] : cross_flows_) {
-    flow.coupled_rate_bps = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
-    const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(flow.coupled_rate_bps);
-    caps_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
-    caps_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
+    const double rate = inter_.FlowRate(flow.inter_slot).bytes_per_sec();
+    const bool moved = rate != flow.coupled_rate_bps;
+    flow.coupled_rate_bps = rate;
+    const sim::Bandwidth cap = sim::Bandwidth::BytesPerSec(rate);
+    if (moved || IsStale(flow.spec.src_host)) {
+      caps_[static_cast<size_t>(flow.spec.src_host)].emplace_back(flow.src_flow, cap);
+    }
+    if (moved || IsStale(flow.spec.dst_host)) {
+      caps_[static_cast<size_t>(flow.spec.dst_host)].emplace_back(flow.dst_flow, cap);
+    }
   }
   for (size_t h = 0; h < hosts_.size(); ++h) {
     if (!caps_[h].empty()) {
-      hosts_[h]->fabric().SetFlowLimitsBatch(caps_[h]);
+      fabric::Fabric& fabric = hosts_[h]->fabric();
+      fabric.SetFlowLimitsBatch(caps_[h]);
+      capped_mutations_[h] = fabric.mutation_count();
     }
   }
 }
@@ -172,6 +206,13 @@ void Fleet::ForEachHost(const std::function<void(size_t, size_t)>& body) {
 }
 
 void Fleet::SettleHosts() {
+  // A pass with nothing to solve opens no pool round: it would only wake
+  // and park the workers.
+  if (std::none_of(hosts_.begin(), hosts_.end(), [](const std::unique_ptr<HostNetwork>& h) {
+        return h->fabric().dirty();
+      })) {
+    return;
+  }
   // Fan the solves out: each fabric settles into its own staging buffer, so
   // no worker ever touches the shared calendar queue. The solve reads the
   // clock but never advances it.

@@ -188,13 +188,31 @@ class Fleet {
     fabric::FlowId dst_flow = fabric::kInvalidFlow;
     int32_t inter_slot = -1;
     double coupled_rate_bps = 0.0;
+    // Each stage's intra-host rate as read after its host's last lift.
+    double src_lifted_bps = 0.0;
+    double dst_lifted_bps = 0.0;
   };
 
+  // Couples every cross-host flow's three stages, paying only for what
+  // changed. Stale hosts (IsStale) lift their stages' caps, settle, and
+  // cache the lifted rates; clean hosts reuse their cached ones. The
+  // inter-host solve always runs, and a cap goes to every stage on a stale
+  // host and to any stage whose coupled rate moved. Exact: every fabric,
+  // and the shared clock's event sequence, ends the pass as a lift and
+  // re-cap of every stage host would leave them (pinned by
+  // GoldenTest.QuietFleetCouplingMatchesPinnedHashes).
   void CoupleCrossHostFlows();
+  // True when host |host| must lift and re-cap: its fabric has taken a
+  // mutation since the fleet last capped it (a demand change, start/stop,
+  // fault, config change or transfer completion), or re-solving it would
+  // still change it (DDIO writes, transfers in flight; see
+  // Fabric::resolve_is_noop).
+  bool IsStale(int host) const;
   // Forces every fabric's pending solve: solves fan out across the worker
   // pool into per-host staging buffers, then the buffers are applied to the
   // shared clock serially in strict host order — the exact event sequence
-  // (and event-pool slot reuse) of a serial pass.
+  // (and event-pool slot reuse) of a serial pass. Opens no pool round when
+  // no fabric is dirty.
   void SettleHosts();
   // Applies every host's staging buffer to the shared clock, in host order.
   void ApplyStagings();
@@ -222,12 +240,17 @@ class Fleet {
   // TelemetryDigest(), which is logically const.
   mutable SampleDigest digest_;
   mutable size_t digest_folded_ = 0;
-  // CoupleCrossHostFlows() scratch, one batch per host: the limit lifts and
-  // the end-to-end caps. Cleared and refilled every tick, so their capacity
-  // carries over and a steady tick allocates nothing for them.
+  // CoupleCrossHostFlows() scratch, one batch per host: the limit lifts
+  // (stale hosts only) and the end-to-end caps (stale hosts, and stages
+  // whose coupled rate moved). Cleared and refilled every tick, so their
+  // capacity carries over and a steady tick allocates nothing for them; a
+  // quiet tick leaves every batch empty.
   using LimitBatch = std::vector<std::pair<fabric::FlowId, sim::Bandwidth>>;
   std::vector<LimitBatch> lifts_;
   std::vector<LimitBatch> caps_;
+  // Per host: the fabric's mutation_count() right after the fleet applied
+  // its last cap batch there. A host whose count has moved since is stale.
+  std::vector<uint64_t> capped_mutations_;
   // Null when the fleet is serial (effective worker_threads <= 1). Worker
   // threads only ever run inside ForEachHost rounds, so the pool needs no
   // particular destruction order relative to sim_/hosts_.

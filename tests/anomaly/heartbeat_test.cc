@@ -226,7 +226,8 @@ TEST(HeartbeatTest, ReroutedPairRestartsBaselineInsteadOfAlarming) {
 
 // alarmed_count() is maintained incrementally; it must equal Alarms().size()
 // after every tick through raises, recovery clears, re-route clears, and a
-// baseline reset.
+// baseline reset. cleared_count() likewise must equal the number of cleared
+// alarm_log() entries.
 TEST(HeartbeatTest, AlarmedCountTracksAlarmsEveryTick) {
   sim::Simulation sim;
   const DualPorted d = MakeDualPorted();
@@ -238,10 +239,16 @@ TEST(HeartbeatTest, AlarmedCountTracksAlarmsEveryTick) {
   mesh.Start();
 
   size_t max_alarmed = 0;
+  const auto cleared_in_log = [&mesh] {
+    return static_cast<size_t>(
+        std::count_if(mesh.alarm_log().begin(), mesh.alarm_log().end(),
+                      [](const HeartbeatMesh::AlarmEvent& event) { return event.cleared; }));
+  };
   const auto run = [&](int ticks) {
     for (int i = 0; i < ticks; ++i) {
       sim.RunFor(TimeNs::Millis(1));
       ASSERT_EQ(mesh.alarmed_count(), mesh.Alarms().size()) << "at " << sim.Now().ToString();
+      ASSERT_EQ(mesh.cleared_count(), cleared_in_log()) << "at " << sim.Now().ToString();
       max_alarmed = std::max(max_alarmed, mesh.alarmed_count());
     }
   };
@@ -279,6 +286,7 @@ TEST(HeartbeatTest, AlarmedCountTracksAlarmsEveryTick) {
   mesh.ResetBaselines();
   EXPECT_EQ(mesh.alarmed_count(), 0u);
   EXPECT_EQ(mesh.Alarms().size(), 0u);
+  EXPECT_EQ(mesh.cleared_count(), mesh.alarm_log().size());  // Every episode closed.
   run(20);
 
   EXPECT_GE(max_alarmed, 2u);

@@ -333,6 +333,78 @@ TEST(FleetTest, CrossHostFlowCouplesToMinOfStages) {
   EXPECT_EQ(fleet.samples().back().cross_host_flows, 1);
 }
 
+// The coupling pays only for what changed. On a quiet GateWorkload fleet
+// no fabric solves after the first coupled tick. A demand change on one
+// stage host re-solves that host (the change, the lift, the cap); of the
+// other hosts only the partner whose coupled rate moved re-solves, once,
+// for its new cap.
+TEST(FleetTest, QuietCouplingSolvesOnlyWhatChanged) {
+  constexpr int kHosts = 256;
+  Fleet fleet(kHosts);
+  CrossFlowId near = kInvalidCrossFlow;
+  for (const CrossHostFlowSpec& spec : GateWorkload(kHosts)) {
+    const CrossFlowId id = fleet.StartCrossHostFlow(spec);
+    if (spec.src_host == 0) {
+      near = id;  // 0 -> 5 at 40 Gbps, from host 0's first SSD.
+    }
+  }
+  ASSERT_NE(near, kInvalidCrossFlow);
+  // A heavy-weighted flow from the same SSD shares the stage's first link.
+  HostNetwork& src = fleet.host(0);
+  fabric::FlowSpec hog;
+  hog.path = *src.fabric().Route(src.server().ssds[0], src.server().dimms[0]);
+  hog.tenant = 3;
+  hog.demand = Bandwidth::Gbps(10);
+  hog.weight = 9.0;
+  const fabric::FlowId hog_id = src.fabric().StartFlow(hog);
+
+  std::vector<uint64_t> before(kHosts);
+  const auto snapshot = [&] {
+    for (int h = 0; h < kHosts; ++h) {
+      before[static_cast<size_t>(h)] = fleet.host(h).fabric().recompute_count();
+    }
+  };
+  // Hosts whose solve count moved since snapshot(), as (host, solves).
+  const auto resolved = [&] {
+    std::vector<std::pair<int, uint64_t>> moved;
+    for (int h = 0; h < kHosts; ++h) {
+      const uint64_t now = fleet.host(h).fabric().recompute_count();
+      if (now != before[static_cast<size_t>(h)]) {
+        moved.emplace_back(h, now - before[static_cast<size_t>(h)]);
+      }
+    }
+    return moved;
+  };
+  using Solves = std::vector<std::pair<int, uint64_t>>;
+
+  fleet.Tick();  // The first coupled tick: every stage host lifts and caps.
+  const double unsqueezed = fleet.CrossHostRate(near).bytes_per_sec();
+  EXPECT_DOUBLE_EQ(unsqueezed, Bandwidth::Gbps(40).bytes_per_sec());
+  snapshot();
+  fleet.Run(3);
+  EXPECT_EQ(resolved(), Solves{});
+
+  // The hog's share of the SSD link now squeezes the stage below 40 Gbps.
+  src.fabric().SetFlowDemand(hog_id, Bandwidth::Gbps(250));
+  snapshot();
+  fleet.Tick();
+  const double squeezed = fleet.CrossHostRate(near).bytes_per_sec();
+  EXPECT_LT(squeezed, unsqueezed);
+  EXPECT_EQ(resolved(), (Solves{{0, 3}, {5, 1}}));
+
+  // Still above its share: the stage's rate stays put, so only host 0
+  // re-solves.
+  src.fabric().SetFlowDemand(hog_id, Bandwidth::Gbps(240));
+  snapshot();
+  fleet.Tick();
+  EXPECT_EQ(fleet.CrossHostRate(near).bytes_per_sec(), squeezed);
+  EXPECT_EQ(resolved(), (Solves{{0, 3}}));
+
+  snapshot();
+  fleet.Run(3);
+  EXPECT_EQ(resolved(), Solves{});
+}
+
 TEST(FleetTest, StopCrossHostFlowReleasesAllStages) {
   Fleet fleet(3);
   CrossHostFlowSpec spec;

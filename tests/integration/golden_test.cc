@@ -91,12 +91,61 @@ void FoldSnapshot(Fnv& fnv, const fabric::LinkSnapshot& snap) {
   }
 }
 
+uint64_t FoldRootCause(const fleet::FleetRootCause& view) {
+  Fnv rc;
+  for (const fleet::HostCongestion& host : view.hosts) {
+    rc.Add(static_cast<int64_t>(host.host));
+    for (const anomaly::CongestionReport& r : host.reports) {
+      rc.Add(static_cast<int64_t>(r.link.link));
+      rc.Add(static_cast<int64_t>(r.link.forward));
+      rc.Add(r.utilization);
+      rc.Add(static_cast<int64_t>(r.dominant_class));
+      rc.Add(r.spill_fraction);
+      rc.Add(r.monitor_fraction);
+      for (const anomaly::TenantShare& share : r.tenants) {
+        rc.Add(static_cast<int64_t>(share.tenant));
+        rc.Add(share.share);
+      }
+    }
+  }
+  for (const fleet::FleetSuspect& s : view.suspects) {
+    rc.Add(static_cast<int64_t>(s.tenant));
+    rc.Add(s.share_sum);
+    rc.Add(static_cast<int64_t>(s.hosts_implicated));
+  }
+  return rc.value();
+}
+
 struct FleetGolden {
   uint64_t digest = 0;
   uint64_t report = 0;
   uint64_t root_cause = 0;
   uint64_t snapshots = 0;
 };
+
+// Hashes a finished fleet run: digest, report, root-cause view (which must
+// name congested hosts and suspects) and every host's link snapshots.
+FleetGolden FoldFleet(fleet::Fleet& f) {
+  FleetGolden out;
+  out.digest = f.TelemetryDigest();
+  Fnv report;
+  report.Add(f.RenderReport());
+  out.report = report.value();
+
+  const fleet::FleetRootCause view = f.RootCauseView();
+  EXPECT_FALSE(view.hosts.empty());
+  EXPECT_FALSE(view.suspects.empty());
+  out.root_cause = FoldRootCause(view);
+
+  Fnv snaps;
+  for (int h = 0; h < f.host_count(); ++h) {
+    for (const fabric::LinkSnapshot& snap : f.host(h).fabric().SnapshotAll()) {
+      FoldSnapshot(snaps, snap);
+    }
+  }
+  out.snapshots = snaps.value();
+  return out;
+}
 
 // 64 hosts in two racks, DDIO off. Cross-host flows from three tenants;
 // six intra-host flows per host from four more, plus a fifth whose only
@@ -181,46 +230,7 @@ FleetGolden RunGoldenFleet(int worker_threads) {
     f.Tick();
   }
 
-  FleetGolden out;
-  out.digest = f.TelemetryDigest();
-  Fnv report;
-  report.Add(f.RenderReport());
-  out.report = report.value();
-
-  const fleet::FleetRootCause view = f.RootCauseView();
-  EXPECT_FALSE(view.hosts.empty());
-  EXPECT_FALSE(view.suspects.empty());
-  Fnv rc;
-  for (const fleet::HostCongestion& host : view.hosts) {
-    rc.Add(static_cast<int64_t>(host.host));
-    for (const anomaly::CongestionReport& r : host.reports) {
-      rc.Add(static_cast<int64_t>(r.link.link));
-      rc.Add(static_cast<int64_t>(r.link.forward));
-      rc.Add(r.utilization);
-      rc.Add(static_cast<int64_t>(r.dominant_class));
-      rc.Add(r.spill_fraction);
-      rc.Add(r.monitor_fraction);
-      for (const anomaly::TenantShare& share : r.tenants) {
-        rc.Add(static_cast<int64_t>(share.tenant));
-        rc.Add(share.share);
-      }
-    }
-  }
-  for (const fleet::FleetSuspect& s : view.suspects) {
-    rc.Add(static_cast<int64_t>(s.tenant));
-    rc.Add(s.share_sum);
-    rc.Add(static_cast<int64_t>(s.hosts_implicated));
-  }
-  out.root_cause = rc.value();
-
-  Fnv snaps;
-  for (int h = 0; h < kHosts; ++h) {
-    for (const fabric::LinkSnapshot& snap : f.host(h).fabric().SnapshotAll()) {
-      FoldSnapshot(snaps, snap);
-    }
-  }
-  out.snapshots = snaps.value();
-  return out;
+  return FoldFleet(f);
 }
 
 TEST(GoldenTest, ChurnedMultiTenantFleetMatchesPinnedHashes) {
@@ -236,6 +246,203 @@ TEST(GoldenTest, ChurnedMultiTenantFleetMatchesPinnedHashes) {
   EXPECT_EQ(pooled.report, serial.report);
   EXPECT_EQ(pooled.root_cause, serial.root_cause);
   EXPECT_EQ(pooled.snapshots, serial.snapshots);
+}
+
+struct QuietFleetGolden {
+  FleetGolden fleet;
+  uint64_t completions = 0;  // Every (host, end ns) in delivery order.
+  uint64_t rates = 0;        // Every cross-host flow's coupled rate, every tick.
+};
+
+// 64 hosts in two racks, DDIO on, where most hosts carry one cross-host
+// stage and nothing else, so most hosts see no mutation on most ticks.
+// Around them: three hosts change an intra-host demand every tick (their
+// partners' coupled rates move), one quiet stage host loses 85% of its SSD
+// link mid-run and gets it back, one cross-host flow stops and restarts,
+// finite transfers on quiet stage hosts complete across several ticks, one
+// quiet stage host carries DDIO writes whose spill contends with its stage
+// (one write's demand drops once), and one sends packets.
+QuietFleetGolden RunQuietFleet(int worker_threads) {
+  constexpr int kHosts = 64;
+  constexpr int kTicks = 24;
+  constexpr int kChurnHosts[] = {5, 22, 41};
+  constexpr int kChurnFlows = 5;
+  constexpr int kFaultHost = 12;
+  constexpr int kRestartHost = 30;
+  constexpr int kDdioHost = 27;
+  constexpr int kPacketHost = 44;
+  fleet::Fleet::Options options;
+  options.worker_threads = worker_threads;
+  options.clamp_workers_to_hardware = false;
+  options.congestion_threshold = 0.5;
+  // Data lingers long enough that the DDIO writes below overflow the LLC
+  // and spill to memory.
+  options.host.fabric.llc_drain_time = TimeNs::Micros(400);
+  fleet::Fleet f(kHosts, options);
+  sim::Rng rng(0x9e1e7);
+  QuietFleetGolden out;
+  std::vector<std::pair<int, int64_t>> completions;
+
+  // Even hosts send, each to a distinct odd host; every fourth flow
+  // crosses into the other rack.
+  std::vector<fleet::CrossHostFlowSpec> specs;
+  std::vector<fleet::CrossFlowId> ids;
+  for (int h = 0; h < kHosts; h += 2) {
+    fleet::CrossHostFlowSpec spec;
+    spec.tenant = static_cast<fabric::TenantId>(7 + h % 3);
+    spec.src_host = h;
+    spec.dst_host = (h + 7 + 32 * (h % 8 == 0 ? 1 : 0)) % kHosts;
+    spec.demand = Bandwidth::Gbps(static_cast<double>(rng.UniformInt(20, 90)));
+    if (spec.dst_host == kDdioHost) {
+      spec.dst_device = f.host(kDdioHost).server().dimms[2];
+    }
+    specs.push_back(spec);
+    ids.push_back(f.StartCrossHostFlow(spec));
+  }
+
+  std::vector<std::vector<fabric::FlowId>> churn(std::size(kChurnHosts));
+  for (size_t c = 0; c < std::size(kChurnHosts); ++c) {
+    HostNetwork& host = f.host(kChurnHosts[c]);
+    const topology::Server& server = host.server();
+    // Heavier-weighted flows from the SSD a sending stage starts at and
+    // from every NIC, one of them a receiving stage's: either way they
+    // contend with the host's stage on its first PCIe link.
+    for (int k = 0; k < kChurnFlows; ++k) {
+      fabric::FlowSpec spec;
+      spec.path = *host.fabric().Route(
+          k == 0 ? server.ssds[0] : server.nics[static_cast<size_t>(k - 1) % server.nics.size()],
+          server.dimms[0]);
+      spec.tenant = static_cast<fabric::TenantId>(11 + k);
+      spec.demand = Bandwidth::Gbps(static_cast<double>(rng.UniformInt(10, 200)));
+      spec.weight = 3.0;
+      churn[c].push_back(host.fabric().StartFlow(spec));
+    }
+  }
+
+  // Two DDIO writes, one from the receiving stage's NIC, whose spill shares
+  // a degraded memory-controller link with the stage: each solve moves the
+  // spill coupling one step, and after the other write's demand drops it
+  // takes several solves to settle.
+  fabric::FlowId ddio_other = fabric::kInvalidFlow;
+  {
+    HostNetwork& host = f.host(kDdioHost);
+    const topology::Server& server = host.server();
+    const auto start_ddio = [&](topology::ComponentId nic, double gbps) {
+      fabric::FlowSpec spec;
+      spec.path = *host.fabric().Route(nic, server.sockets[0]);
+      spec.tenant = 20;
+      spec.demand = Bandwidth::Gbps(gbps);
+      spec.ddio_write = true;
+      return host.fabric().StartFlow(spec);
+    };
+    start_ddio(server.nics[3], 240);
+    ddio_other = start_ddio(server.nics[0], 160);
+    host.fabric().InjectLinkFault(host.fabric().Route(server.sockets[0], server.dimms[2])->hops[0].link,
+                                  fabric::LinkFault{0.1});
+  }
+
+  // Finite transfers that share the stage's first hop (the SSD link on a
+  // sending host, the NIC's on a receiving one).
+  const auto start_transfer = [&](int h, bool from_nic, int64_t bytes) {
+    HostNetwork& host = f.host(h);
+    const topology::Server& server = host.server();
+    fabric::TransferSpec transfer;
+    transfer.flow.path =
+        *host.fabric().Route(from_nic ? server.nics[0] : server.ssds[0], server.dimms[1]);
+    transfer.flow.tenant = 30;
+    transfer.flow.demand = Bandwidth::Gbps(50);
+    transfer.bytes = bytes;
+    transfer.on_complete = [&completions, h](const fabric::TransferResult& result) {
+      completions.emplace_back(h, result.end.nanos());
+    };
+    host.fabric().StartTransfer(std::move(transfer));
+  };
+  start_transfer(2, false, 9 * 1000 * 1000);
+  start_transfer(18, false, 22 * 1000 * 1000);
+  start_transfer(50, false, 47 * 1000 * 1000);
+  start_transfer(9, true, 15 * 1000 * 1000);
+
+  const topology::LinkId fault_link =
+      f.host(kFaultHost)
+          .fabric()
+          .Route(f.host(kFaultHost).server().ssds[0], f.host(kFaultHost).server().dimms[0])
+          ->hops.front()
+          .link;
+  const topology::Path packet_path = *f.host(kPacketHost).fabric().Route(
+      f.host(kPacketHost).server().nics[0], f.host(kPacketHost).server().sockets[0]);
+  const size_t restart_index = static_cast<size_t>(kRestartHost / 2);
+
+  Fnv rates;
+  for (int t = 0; t < kTicks; ++t) {
+    for (size_t c = 0; c < std::size(kChurnHosts); ++c) {
+      const size_t pick = static_cast<size_t>(rng.UniformInt(0, kChurnFlows - 1));
+      f.host(kChurnHosts[c])
+          .fabric()
+          .SetFlowDemand(churn[c][pick],
+                         Bandwidth::Gbps(static_cast<double>(rng.UniformInt(0, 160))));
+    }
+    if (t == 8) {
+      f.host(kFaultHost).fabric().InjectLinkFault(fault_link, fabric::LinkFault{0.15});
+    }
+    if (t == 16) {
+      f.host(kFaultHost).fabric().ClearLinkFault(fault_link);
+    }
+    if (t == 10) {
+      f.StopCrossHostFlow(ids[restart_index]);
+    }
+    if (t == 14) {
+      ids[restart_index] = f.StartCrossHostFlow(specs[restart_index]);
+    }
+    if (t == 4) {
+      f.host(kDdioHost).fabric().SetFlowDemand(ddio_other, Bandwidth::Gbps(30));
+    }
+    if (t == 6) {
+      start_transfer(2, false, 13 * 1000 * 1000);
+      start_transfer(34, false, 26 * 1000 * 1000);
+    }
+    fabric::PacketSpec pkt;
+    pkt.path = &packet_path;
+    pkt.bytes = 512 + 64 * t;
+    pkt.tenant = 40;
+    f.host(kPacketHost).fabric().SendPacket(std::move(pkt));
+    f.Tick();
+    for (const fleet::CrossFlowId id : ids) {
+      rates.Add(f.CrossHostRate(id).bytes_per_sec());
+    }
+  }
+  // Let the longest transfers drain.
+  f.Run(12);
+
+  EXPECT_GE(completions.size(), 6u);
+  out.fleet = FoldFleet(f);
+  Fnv fnv;
+  for (const auto& [host, end] : completions) {
+    fnv.Add(static_cast<int64_t>(host));
+    fnv.Add(end);
+  }
+  out.completions = fnv.value();
+  out.rates = rates.value();
+  return out;
+}
+
+// Pinned before the cross-host coupling learned to skip hosts with no new
+// mutation: the skip must not move a single byte.
+TEST(GoldenTest, QuietFleetCouplingMatchesPinnedHashes) {
+  const QuietFleetGolden serial = RunQuietFleet(0);
+  EXPECT_EQ(Hex(serial.fleet.digest), "0xda0ff681ed5ab636");
+  EXPECT_EQ(Hex(serial.fleet.report), "0x7aa0e9dd4d99aad9");
+  EXPECT_EQ(Hex(serial.fleet.root_cause), "0x2f740c437c698c57");
+  EXPECT_EQ(Hex(serial.fleet.snapshots), "0x78cd8a340d8d6ad7");
+  EXPECT_EQ(Hex(serial.completions), "0x2e4694fc319e95c2");
+  EXPECT_EQ(Hex(serial.rates), "0xe0d792aa3509ac52");
+
+  const QuietFleetGolden pooled = RunQuietFleet(3);
+  EXPECT_EQ(pooled.fleet.digest, serial.fleet.digest);
+  EXPECT_EQ(pooled.fleet.report, serial.fleet.report);
+  EXPECT_EQ(pooled.fleet.root_cause, serial.fleet.root_cause);
+  EXPECT_EQ(pooled.fleet.snapshots, serial.fleet.snapshots);
+  EXPECT_EQ(pooled.completions, serial.completions);
+  EXPECT_EQ(pooled.rates, serial.rates);
 }
 
 // One host with the collector sampling every millisecond: several tenants
